@@ -301,96 +301,3 @@ def check_conformance(run_dir: Path) -> list[str]:
         if not deviation <= tol or record["agrees"] != "1":
             problems.append(f"first-order rate {name}: deviation {deviation:.3e} above tol {tol:.1e}")
     return problems
-
-
-# -- classical flows -----------------------------------------------------------
-
-
-def limit_cycle_flow(omega, lam, mu, z0: complex, times: np.ndarray):
-    """Logistic radius, rigid phase and transported density weight.
-
-    r^2' = 2 lam r^2 - 4 mu r^4 and arg z' = -omega; with
-    D(t) = lam + 2 mu r0^2 (e^{2 lam t} - 1) one has r^2 = lam r0^2 e^{2 lam t} / D
-    and exp(-int (2 lam - 8 mu r^2) dt) = (D / lam)^2 e^{-2 lam t}.
-    """
-    r0sq = abs(z0) ** 2
-    grow = np.exp(2.0 * lam * times)
-    d = lam + 2.0 * mu * r0sq * (grow - 1.0)
-    rsq = lam * r0sq * grow / d
-    z = np.sqrt(rsq) * np.exp(1j * (np.angle(z0) - omega * times))
-    weight = (d / lam) ** 2 / grow
-    return z, weight
-
-
-def rotator_flow(omega, lam, z0: tuple[complex, complex], times: np.ndarray):
-    """Two-mode rotator flow at omega1 = omega2 = omega.
-
-    |z_a| is conserved and psi = arg z2 - arg z1 obeys the Adler equation
-    psi' = -2a sin psi, a = 2 lam r1 r2, so tan(psi/2) = tan(psi0/2) e^{-2at};
-    the phases are phi1 = phi1_0 + omega t - (psi - psi0)/2 and
-    phi2 = phi2_0 + omega t + (psi - psi0)/2.  The divergence
-    -4 lam r1 r2 cos psi integrates to the weight sin(psi0) / sin(psi).
-    Returns z1, z2, weight and psi.
-    """
-    z1, z2 = z0
-    r1, r2 = abs(z1), abs(z2)
-    phi1, phi2 = np.angle(z1), np.angle(z2)
-    psi0 = np.angle(np.exp(1j * (phi2 - phi1)))
-    k = np.exp(-4.0 * lam * r1 * r2 * times)
-    s, c = np.sin(psi0 / 2.0), np.cos(psi0 / 2.0)
-    psi = 2.0 * np.arctan2(s * k, c)
-    z1t = r1 * np.exp(1j * (phi1 + omega * times - (psi - psi0) / 2.0))
-    z2t = r2 * np.exp(1j * (phi2 + omega * times + (psi - psi0) / 2.0))
-    weight = (c * c + s * s * k * k) / k
-    return z1t, z2t, weight, psi
-
-
-def check_classical_flow(run_dir: Path) -> list[str]:
-    """Each trajectory_NNN.csv against the model's closed-form flow."""
-    problems: list[str] = []
-    config = _manifest(run_dir)
-    p, num = config["params"], config["numerics"]
-    model = p["model"]
-    if model == "rotators" and p["omega1"] != p["omega2"]:
-        return ["rotator closed form needs omega1 = omega2"]
-    if model not in ("limit-cycle", "rotators"):
-        return [f"no closed form for classical-flow model {model!r}"]
-    for index, initial in enumerate(num["initial"]):
-        path = run_dir / f"trajectory_{index:03d}.csv"
-        if not path.exists():
-            problems.append(f"{path.name} missing")
-            continue
-        _header, rows = _read_csv(path)
-        data = np.array([[float(c) for c in r] for r in rows])
-        times = data[:, 0]
-        z0 = [complex(a, b) for a, b in initial]
-        label = f"{path.name}"
-        if model == "limit-cycle":
-            z_exact, w_exact = limit_cycle_flow(p["omega"], p["lambda"], p["mu"], z0[0], times)
-            _compare(problems, f"{label} z", data[:, 1] + 1j * data[:, 2], z_exact, FLOW_TOL, z_exact)
-        else:
-            z1, z2, w_exact, _psi = rotator_flow(p["omega1"], p["lambda"], tuple(z0), times)
-            _compare(problems, f"{label} z1", data[:, 1] + 1j * data[:, 2], z1, FLOW_TOL, z1)
-            _compare(problems, f"{label} z2", data[:, 3] + 1j * data[:, 4], z2, FLOW_TOL, z2)
-        _compare(problems, f"{label} weight", data[:, -1] / w_exact, 1.0, FLOW_TOL)
-    return problems
-
-
-def schwinger_image(z1: complex, z2: complex) -> np.ndarray:
-    """(l_x, l_y, l_z) = (Re z1* z2, Im z1* z2, (|z1|^2 - |z2|^2)/2)."""
-    w = np.conj(z1) * z2
-    return np.array([w.real, w.imag, (abs(z1) ** 2 - abs(z2) ** 2) / 2.0])
-
-
-def check_spin_flow(trajectory, omega: float, lam: float, z0: tuple[complex, complex]) -> list[str]:
-    """The spin flow is the Schwinger image of the two-mode closed form and
-    conserves |l|^2."""
-    problems: list[str] = []
-    times = np.asarray(trajectory.times)
-    states = np.asarray(trajectory.states)
-    z1, z2, _w, _psi = rotator_flow(omega, lam, z0, times)
-    image = np.stack([schwinger_image(a, b) for a, b in zip(z1, z2)])
-    scale = float(np.sum(image[0] ** 2))
-    _compare(problems, "spin l(t)", states, image, FLOW_TOL, sqrt(scale))
-    _compare(problems, "spin |l|^2", np.sum(states**2, axis=1), scale, FLOW_TOL, scale)
-    return problems

@@ -1,9 +1,8 @@
 """Workload inputs and operations.
 
 A workload is a list of operations run in rounds.  An operation is one
-config run through `semiq.cli.run_config` or one direct call of
-`semiq.models.classical_spin_flow`; it carries the name of the check that
-judges its output and its amount of work (RK4 steps, point-steps or grid
+config run through `semiq.cli.run_config`; it carries the name of the
+check that judges its output and its amount of work (RK4 steps or grid
 points) for the rate metrics.  Every config the program receives is
 generated here from the shipped `configs/*.json` or from the templates in
 `perfbench/configs/`, written to the run directory and passed through
@@ -25,13 +24,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from semiq import cli, models
+from semiq import cli
 
-# The rotator ensemble: many short trajectories beside the three long ones
-# of classical_flow.json; the spin flows start from the Schwinger images of
-# the first few of them.
+# Seeded two-mode points for the layer suite's rotator items.
 ENSEMBLE_POINTS = 24
-SPIN_POINTS = 4
 # Probes that build a dense d^2 x d^2 generator; they would raise the
 # workload's own peak RSS, so they run after it is read.
 LATE_PROBES = {"limit-cycle-sweep-d30", "limit-cycle-d40"}
@@ -43,7 +39,6 @@ class Op:
     call: Callable[[], Any]
     check: str
     work: float
-    check_args: tuple = ()
 
 
 @dataclass
@@ -81,11 +76,6 @@ def ensemble_points(seed: int, count: int) -> list[tuple[complex, complex]]:
     return [(complex(a), complex(b)) for a, b in zs]
 
 
-def _schwinger(z1: complex, z2: complex) -> list[float]:
-    w = z1.conjugate() * z2
-    return [w.real, w.imag, (abs(z1) ** 2 - abs(z2) ** 2) / 2.0]
-
-
 class _Builder:
     def __init__(self, root: Path, out_dir: Path, seed: int):
         self.root = root
@@ -113,20 +103,6 @@ class _Builder:
         frozen = copy.deepcopy(config)
         runs = str(self.runs_dir)
         return Op(op_name, lambda: cli.run_config(frozen, output_dir=runs, jobs=1), check, work)
-
-
-def _spin_op(point: tuple[complex, complex], params: dict, dt: float, t_end: float, record_every: int) -> Op:
-    rotator = models.RotatorParams(params["omega1"], params["omega2"], params["lambda"])
-    hamiltonian = models.rotator_spin_hamiltonian(rotator)
-    channel = models.rotator_spin_channel(rotator)
-    l0 = _schwinger(*point)
-    return Op(
-        "spin-flow",
-        lambda: models.classical_spin_flow(hamiltonian, channel, l0, t_end, dt, record_every=record_every),
-        "check_spin_flow",
-        round(t_end / dt),
-        (params["omega1"], params["lambda"], point),
-    )
 
 
 def _oscillator_ops(b: _Builder) -> dict[str, tuple[list[Op], list[Op]]]:
@@ -176,37 +152,12 @@ def _stationary_ops(b: _Builder) -> dict[str, tuple[list[Op], list[Op]]]:
     }
 
 
-def _classical_ops(b: _Builder, points) -> dict[str, tuple[list[Op], list[Op]]]:
-    """No probes: these Python-bound rates are no end-to-end metric (see README)."""
-    flow = b.shipped("classical_flow")
-    ensemble = b.owned("rotator_ensemble")
-    ensemble["numerics"]["initial"] = [[[z.real, z.imag] for z in point] for point in points]
-
-    def point_steps(config):
-        return len(config["numerics"]["initial"]) * _steps(config, "dt")
-
-    n = ensemble["numerics"]
-    spin = [_spin_op(point, ensemble["params"], n["dt"], n["t_end"], n["record_every"])
-            for point in points[:SPIN_POINTS]]
-    return {
-        "flow-1mode": (
-            [b.config_op("flow-1mode", "classical_flow", flow, "check_classical_flow", point_steps(flow))], [],
-        ),
-        "flow-2mode": (
-            [b.config_op("flow-2mode", "rotator_ensemble", ensemble, "check_classical_flow",
-                         point_steps(ensemble))], [],
-        ),
-        "spin-flow": (spin, []),
-    }
-
-
 def setup(name: str, root: Path, out_dir: Path, seed: int) -> Workload:
     """Load, generate and validate every input of the workload."""
     b = _Builder(root, out_dir, seed)
     groups = {
         "quantum-evolution": _oscillator_ops(b),
         "stationary-sweep": _stationary_ops(b),
-        "classical-ensemble": _classical_ops(b, ensemble_points(seed, ENSEMBLE_POINTS)),
     }
     probes = [
         op
