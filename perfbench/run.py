@@ -105,11 +105,9 @@ def run_round(ops, checks, stats: dict) -> float:
 
 
 def op_metric(kind: str, samples: list[tuple[float, float]]) -> float:
-    """The fastest sample: most work per second ("rate") or fewest seconds
-    per unit of work ("per")."""
-    if kind == "rate":
-        return max(work / seconds for seconds, work in samples)
-    return min(seconds / work for seconds, work in samples)
+    """Median over the samples of work per second ("rate") or seconds per
+    unit of work ("per")."""
+    return median(work / seconds if kind == "rate" else seconds / work for seconds, work in samples)
 
 
 def setup_sample(args) -> float:
@@ -127,10 +125,9 @@ def untraced_run(args, workload, checks, stats, _out_dir: Path) -> tuple[dict, d
     """Whole rounds for about --seconds: at least one, and no round is
     started that would end past the budget.
 
-    Every time figure is the fastest of its samples, and the samples of
-    each figure are spread over the whole run.  On a shared machine the
-    speed of a core switches between levels up to 2x apart for seconds to
-    minutes; the fastest sample is the figure that repeats from run to run.
+    Every time figure is the median of its samples, and the samples of
+    each figure are spread over the whole run: on a shared machine the
+    speed of a core drifts over seconds to minutes.
     """
     samples: dict[str, list[tuple[float, float]]] = {}
     walls, round_times, setups = [], [], []
@@ -164,8 +161,8 @@ def untraced_run(args, workload, checks, stats, _out_dir: Path) -> tuple[dict, d
         setups.append(setup_sample(args))
 
     metrics = {
-        "wall_s": (min(walls), "s"),
-        "setup_s": (min(setups), "s"),
+        "wall_s": (median(walls), "s"),
+        "setup_s": (median(setups), "s"),
         "peak_rss_mb": (peak_rss_mb, "MB"),
     }
     for name, (op_name, unit, kind) in OP_METRICS.items():
@@ -277,7 +274,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=(*WORKLOADS, "all"))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=60.0)
+    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

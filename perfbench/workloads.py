@@ -143,7 +143,7 @@ def _stationary_ops(b: _Builder) -> dict[str, tuple[list[Op], list[Op]]]:
             [b.config_op("limit-cycle-d30", "limit_cycle", b.shipped("limit_cycle"), "check_limit_cycle", 1)],
             [],
         ),
-        "limit-cycle-d40": (d40, d40),
+        "limit-cycle-d40": (d40, d40 * 2),
         "rotators": (rotators, rotators),
         "conformance": (
             [b.config_op("conformance", "conformance", b.shipped("conformance"), "check_conformance", 1)],
