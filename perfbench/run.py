@@ -33,8 +33,8 @@ from statistics import median
 WORKLOADS = ("quantum-evolution", "stationary-sweep")
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / ".bench_out"
-SETUP_SAMPLES = 4
-PROBE_SAMPLES_PER_ROUND = 3
+MIN_SETUP_SAMPLES = 4
+MIN_HEAVY_SAMPLES = 2
 
 # metric: (operation, unit, kind).  "rate" is work per second of the
 # operation's wall time, "per" is seconds per unit of work.
@@ -121,20 +121,31 @@ def setup_sample(args) -> float:
     return time.perf_counter() - start
 
 
+def deal(items: list, gaps: int) -> list[list]:
+    """Deal items out over the gaps in turn: item i goes to gap i % gaps."""
+    return [items[i::gaps] for i in range(gaps)]
+
+
 def untraced_run(args, workload, checks, stats, _out_dir: Path) -> tuple[dict, dict]:
     """Whole rounds for about --seconds: at least one, and no round is
     started that would end past the budget.
 
     Every time figure is the median of its samples, and the samples of
     each figure are spread over the whole run: on a shared machine the
-    speed of a core drifts over seconds to minutes.
+    speed of a core drifts over seconds to minutes.  The probes are dealt
+    out over the gaps after the round's own operations, and a set-up
+    sample follows each round.  The peak RSS is read after the first
+    round, which holds every own operation; the heavy probes run from the
+    second round on, and at the end if fewer than MIN_HEAVY_SAMPLES of
+    each have run.  So do set-up samples, if fewer than MIN_SETUP_SAMPLES
+    have been taken.
     """
     samples: dict[str, list[tuple[float, float]]] = {}
     walls, round_times, setups = [], [], []
-    # PROBE_SAMPLES_PER_ROUND samples of each probe per round, dealt out
-    # over the gaps after the round's operations.
     gaps = len(workload.ops)
-    repeats = [len(range(i, PROBE_SAMPLES_PER_ROUND, gaps)) for i in range(gaps)]
+    probes = deal(workload.probes, gaps)
+    heavy = deal(workload.heavy_probes, gaps)
+    peak_rss_mb = None
 
     def timed(op):
         start = time.perf_counter()
@@ -146,18 +157,19 @@ def untraced_run(args, workload, checks, stats, _out_dir: Path) -> tuple[dict, d
     while not walls or time.perf_counter() - start + median(round_times) <= args.seconds:
         round_start = time.perf_counter()
         wall = 0.0
-        for op, repeat in zip(workload.ops, repeats):
+        for gap, op in enumerate(workload.ops):
             wall += timed(op)
-            for _ in range(repeat):
-                for probe in workload.probes:
-                    timed(probe)
+            for probe in probes[gap] + (heavy[gap] if peak_rss_mb is not None else []):
+                timed(probe)
         walls.append(wall)
         round_times.append(time.perf_counter() - round_start)
         setups.append(setup_sample(args))
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    for probe in workload.late_probes:
-        timed(probe)
-    while len(setups) < SETUP_SAMPLES:
+        if peak_rss_mb is None:
+            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    for probe in workload.heavy_probes:
+        if len(samples.get(probe.name, ())) < MIN_HEAVY_SAMPLES:
+            timed(probe)
+    while len(setups) < MIN_SETUP_SAMPLES:
         setups.append(setup_sample(args))
 
     metrics = {
@@ -274,7 +286,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=(*WORKLOADS, "all"))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=50.0)
+    parser.add_argument("--seconds", type=float, default=55.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

@@ -28,9 +28,6 @@ from semiq import cli
 
 # Seeded two-mode points for the layer suite's rotator items.
 ENSEMBLE_POINTS = 24
-# Probes that build a dense d^2 x d^2 generator; they would raise the
-# workload's own peak RSS, so they run after it is read.
-LATE_PROBES = {"limit-cycle-sweep-d30", "limit-cycle-d40"}
 
 
 @dataclass
@@ -46,16 +43,18 @@ class Workload:
     """One round of the workload's own operations, and its probes.
 
     Probes are the operations behind the end-to-end metrics the workload's
-    own operations do not exercise, at reduced size.  Light probes run
-    between a round's operations, so their samples span the run as the
-    workload's own do; late probes build dense d^2 x d^2 generators and run
-    after the workload's peak RSS is read.
+    own operations do not exercise, at reduced size, or extra runs of a
+    short own operation that gets too few samples otherwise.  Each list holds one
+    round's probe runs, dealt out over the gaps after the round's own
+    operations, so their samples span the run as the workload's own do.
+    Heavy probes build dense d^2 x d^2 generators; they would raise the
+    workload's own peak RSS, so they start once that has been read.
     """
 
     name: str
     ops: list[Op]
     probes: list[Op]
-    late_probes: list[Op]
+    heavy_probes: list[Op]
 
 
 def _load(path: Path) -> dict:
@@ -105,68 +104,59 @@ class _Builder:
         return Op(op_name, lambda: cli.run_config(frozen, output_dir=runs, jobs=1), check, work)
 
 
-def _oscillator_ops(b: _Builder) -> dict[str, tuple[list[Op], list[Op]]]:
+def _oscillator_ops(b: _Builder) -> dict[str, Op]:
     d40 = b.shipped("oscillator")
     d40_probe = copy.deepcopy(d40)
-    d40_probe["numerics"]["t_end"] = 0.2
+    d40_probe["numerics"]["t_end"] = 0.4
     d80 = b.owned("oscillator_d80")
     d80_probe = copy.deepcopy(d80)
-    d80_probe["numerics"]["t_end"] = 0.1
+    d80_probe["numerics"]["t_end"] = 0.08
 
     def evolve_op(name, label, config):
         return b.config_op(name, label, config, "check_oscillator", _steps(config, "evolve.dt"))
 
-    # Three short d=80 runs per round give that rate samples spread over the
-    # round beside the one long d=40 run.
     return {
-        "oscillator-d40": ([evolve_op("oscillator-d40", "oscillator", d40)],
-                           [evolve_op("oscillator-d40", "oscillator-probe", d40_probe)]),
-        "oscillator-d80": ([evolve_op("oscillator-d80", "oscillator_d80", d80)] * 3,
-                           [evolve_op("oscillator-d80", "oscillator_d80-probe", d80_probe)]),
+        "d40": evolve_op("oscillator-d40", "oscillator", d40),
+        "d80": evolve_op("oscillator-d80", "oscillator_d80", d80),
+        "d40_probe": evolve_op("oscillator-d40", "oscillator-probe", d40_probe),
+        "d80_probe": evolve_op("oscillator-d80", "oscillator_d80-probe", d80_probe),
     }
 
 
-def _stationary_ops(b: _Builder) -> dict[str, tuple[list[Op], list[Op]]]:
+def _stationary_ops(b: _Builder) -> dict[str, Op]:
     sweep = b.shipped("limit_cycle_sweep")
     sweep_probe = copy.deepcopy(sweep)
     sweep_probe["sweep"] = {"params.lambda": [1.0]}
-    d40 = [b.config_op("limit-cycle-d40", "limit_cycle_d40", b.owned("limit_cycle_d40"), "check_limit_cycle", 1)]
-    rotators = [b.config_op("rotators", "rotators", b.shipped("rotators"), "check_rotators", 1)]
     return {
-        "limit-cycle-sweep-d30": (
-            [b.config_op("limit-cycle-sweep-d30", "limit_cycle_sweep", sweep, "check_limit_cycle",
-                         len(sweep["sweep"]["params.lambda"]))],
-            [b.config_op("limit-cycle-sweep-d30", "limit_cycle_sweep-probe", sweep_probe,
-                         "check_limit_cycle", 1)] * 2,
-        ),
-        "limit-cycle-d30": (
-            [b.config_op("limit-cycle-d30", "limit_cycle", b.shipped("limit_cycle"), "check_limit_cycle", 1)],
-            [],
-        ),
-        "limit-cycle-d40": (d40, d40 * 2),
-        "rotators": (rotators, rotators),
-        "conformance": (
-            [b.config_op("conformance", "conformance", b.shipped("conformance"), "check_conformance", 1)],
-            [],
-        ),
+        "sweep": b.config_op("limit-cycle-sweep-d30", "limit_cycle_sweep", sweep, "check_limit_cycle",
+                             len(sweep["sweep"]["params.lambda"])),
+        "sweep_probe": b.config_op("limit-cycle-sweep-d30", "limit_cycle_sweep-probe", sweep_probe,
+                                   "check_limit_cycle", 1),
+        "d30": b.config_op("limit-cycle-d30", "limit_cycle", b.shipped("limit_cycle"), "check_limit_cycle", 1),
+        "d40": b.config_op("limit-cycle-d40", "limit_cycle_d40", b.owned("limit_cycle_d40"),
+                           "check_limit_cycle", 1),
+        "rotators": b.config_op("rotators", "rotators", b.shipped("rotators"), "check_rotators", 1),
+        "conformance": b.config_op("conformance", "conformance", b.shipped("conformance"),
+                                   "check_conformance", 1),
     }
 
 
 def setup(name: str, root: Path, out_dir: Path, seed: int) -> Workload:
-    """Load, generate and validate every input of the workload."""
+    """Load, generate and validate every input of the workload.
+
+    Probe counts per round are set so that a stationary-sweep round takes
+    about 16 s and a quantum-evolution round about 21 s without its heavy
+    probes, 34 s with them: three and two rounds fit in a 55 s run.
+    """
     b = _Builder(root, out_dir, seed)
-    groups = {
-        "quantum-evolution": _oscillator_ops(b),
-        "stationary-sweep": _stationary_ops(b),
-    }
-    probes = [
-        op
-        for other, group in groups.items() if other != name
-        for _main, probe in group.values() for op in probe
-    ]
-    return Workload(
-        name,
-        [op for main, _probe in groups[name].values() for op in main],
-        [op for op in probes if op.name not in LATE_PROBES],
-        [op for op in probes if op.name in LATE_PROBES],
-    )
+    osc = _oscillator_ops(b)
+    st = _stationary_ops(b)
+    if name == "quantum-evolution":
+        # Three short d=80 runs per round give that rate samples spread over
+        # the round beside the one long d=40 run.
+        return Workload(name, [osc["d40"]] + [osc["d80"]] * 3, [st["rotators"]] * 4,
+                        [st["sweep_probe"], st["d40"]] * 2 + [st["sweep_probe"]] * 2)
+    # rotators.json, the smallest own operation, runs once more per round
+    # as its own probe, so that rotators_s has two samples a round.
+    return Workload(name, [st["sweep"], st["d30"], st["d40"], st["rotators"], st["conformance"]],
+                    [osc["d40_probe"]] * 4 + [osc["d80_probe"]] * 2 + [st["rotators"]], [])
