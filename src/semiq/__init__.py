@@ -35,7 +35,6 @@ from .lindblad import (
     adjoint_rate,
     evolve,
     expectation,
-    export_expectations_csv,
     lindblad_rhs,
     liouvillian_matrix,
     stationary,
@@ -93,7 +92,6 @@ from .quantize import (
     export_operator_csv,
     normal_quantize,
     number,
-    quantize,
     schwinger_spin,
     spin_operators,
     symmetrize_product,

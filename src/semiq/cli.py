@@ -30,17 +30,19 @@ fixed config and seed: rerunning produces byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import models
+from ._csv import write_csv
 from .errors import NumericalFailure
 from .faq import ensemble_weights, export_trajectory_csv, sample_phase_points, verify_faq
 from .lindblad import DensityMatrix, evolve, stationary
@@ -56,14 +58,58 @@ class ConfigError(ValueError):
 
 EXPERIMENTS = ("oscillator", "limit-cycle", "rotators", "classical-flow", "conformance")
 
-# key -> (required, default, caster)
+
+@dataclass(frozen=True)
+class _Model:
+    """One FAQ model as configs name it.
+
+    `keys` maps each config key of the model's `params` block to its field in
+    the params dataclass and its default (None: required).
+    """
+
+    params: type
+    keys: dict[str, tuple[str, float | None]]
+    faq: Callable
+    field: Callable
+    modes: int
+
+    @property
+    def block(self) -> dict:
+        return {key: (default is None, default, float) for key, (_name, default) in self.keys.items()}
+
+    def build(self, p: dict):
+        return self.params(**{name: p[key] for key, (name, _default) in self.keys.items()})
+
+
+_MODELS = {
+    "oscillator": _Model(
+        models.OscillatorParams,
+        {"omega0": ("omega0", None), "lambda": ("lam", None), "u": ("u", 0.0)},
+        models.oscillator_faq, models.oscillator_field, modes=1,
+    ),
+    "limit-cycle": _Model(
+        models.LimitCycleParams,
+        {"omega": ("omega", None), "lambda": ("lam", None), "mu": ("mu", None)},
+        models.limit_cycle_faq, models.limit_cycle_field, modes=1,
+    ),
+    "rotators": _Model(
+        models.RotatorParams,
+        {"omega1": ("omega1", None), "omega2": ("omega2", None), "lambda": ("lam", None), "l": ("l", None)},
+        models.rotator_faq, models.rotator_field, modes=2,
+    ),
+}
+
+# numerics read by the FAQ check of the oscillator, limit-cycle and rotators runs
+_FAQ_CHECK = {
+    "faq_points": (False, 100, int),
+    "faq_tol": (False, 1e-12, float),
+}
+
+# key -> (required, default, caster); classical-flow adds the block of the
+# model named in params.model (see _schema)
 _SCHEMAS = {
     "oscillator": {
-        "params": {
-            "omega0": (True, None, float),
-            "lambda": (True, None, float),
-            "u": (False, 0.0, float),
-        },
+        "params": _MODELS["oscillator"].block,
         "numerics": {
             "dim": (True, None, int),
             "evolve.dt": (True, None, float),
@@ -71,51 +117,29 @@ _SCHEMAS = {
             "alpha": (False, [2.0, 0.0], list),
             "sample_every": (False, 0, int),
             "validate.pos_tol": (False, 1e-8, float),
-            "faq_points": (False, 100, int),
-            "faq_tol": (False, 1e-12, float),
+            **_FAQ_CHECK,
         },
     },
     "limit-cycle": {
-        "params": {
-            "omega": (True, None, float),
-            "lambda": (True, None, float),
-            "mu": (True, None, float),
-        },
+        "params": _MODELS["limit-cycle"].block,
         "numerics": {
             "dim": (True, None, int),
             "n_max": (True, None, int),
             "stationary.null_tol": (False, 1e-10, float),
             "validate.pos_tol": (False, 1e-8, float),
-            "faq_points": (False, 100, int),
-            "faq_tol": (False, 1e-12, float),
+            **_FAQ_CHECK,
         },
     },
     "rotators": {
-        "params": {
-            "omega1": (True, None, float),
-            "omega2": (True, None, float),
-            "lambda": (True, None, float),
-            "l": (True, None, float),
-        },
+        "params": _MODELS["rotators"].block,
         "numerics": {
             "stationary.null_tol": (False, 1e-10, float),
             "validate.pos_tol": (False, 1e-8, float),
-            "faq_points": (False, 100, int),
-            "faq_tol": (False, 1e-12, float),
+            **_FAQ_CHECK,
         },
     },
     "classical-flow": {
-        "params": {
-            "model": (True, None, str),
-            "omega0": (False, None, float),
-            "omega": (False, None, float),
-            "omega1": (False, None, float),
-            "omega2": (False, None, float),
-            "lambda": (False, None, float),
-            "mu": (False, None, float),
-            "u": (False, 0.0, float),
-            "l": (False, 1.0, float),
-        },
+        "params": {"model": (True, None, str)},
         "numerics": {
             "dt": (True, None, float),
             "t_end": (True, None, float),
@@ -124,18 +148,46 @@ _SCHEMAS = {
         },
     },
     "conformance": {
-        "params": {
-            "omega1": (True, None, float),
-            "omega2": (True, None, float),
-            "lambda": (True, None, float),
-            "l": (True, None, float),
-        },
+        "params": _MODELS["rotators"].block,
         "numerics": {
             "n_samples": (False, 50, int),
             "tol": (False, 1e-10, float),
         },
     },
 }
+
+
+def _schema(experiment: str, params) -> dict:
+    schema = _SCHEMAS[experiment]
+    if experiment == "classical-flow" and isinstance(params, dict) and params.get("model") in _MODELS:
+        return {**schema, "params": {**schema["params"], **_MODELS[params["model"]].block}}
+    return schema
+
+
+def _flow_problems(params, numerics) -> list[str]:
+    """classical-flow checks beyond the keys: a known model, and initial
+    points of [re, im] pairs, one pair per mode of that model."""
+    if not isinstance(params, dict) or "model" not in params or not isinstance(numerics, dict):
+        return []  # reported as a missing key or a malformed section
+    name = params["model"]
+    if name not in _MODELS:
+        return [f"unknown params.model {name!r}; expected one of {', '.join(_MODELS)}"]
+    if "initial" not in numerics:
+        return []
+    initial = numerics["initial"]
+    if not isinstance(initial, list) or not initial:
+        return ["numerics.initial must be a non-empty list of phase points"]
+    modes = _MODELS[name].modes
+    problems = []
+    for i, point in enumerate(initial):
+        if not isinstance(point, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, (int, float)) for x in pair)
+            for pair in point
+        ):
+            problems.append(f"numerics.initial[{i}] must be a list of [re, im] pairs")
+        elif len(point) != modes:
+            problems.append(f"numerics.initial[{i}] has {len(point)} modes; model {name} needs {modes}")
+    return problems
 
 
 def validate_config(config: dict) -> list[str]:
@@ -148,7 +200,7 @@ def validate_config(config: dict) -> list[str]:
         return ["missing key: experiment"]
     if experiment not in EXPERIMENTS:
         return [f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}"]
-    schema = _SCHEMAS[experiment]
+    schema = _schema(experiment, config.get("params"))
     if "seed" not in config:
         problems.append("missing key: seed")
     elif not isinstance(config["seed"], int):
@@ -168,6 +220,8 @@ def validate_config(config: dict) -> list[str]:
         for key in given:
             if key not in schema[section]:
                 problems.append(f"extra key: {section}.{key}")
+    if experiment == "classical-flow":
+        problems.extend(_flow_problems(config.get("params", {}), config.get("numerics", {})))
     sweep = config.get("sweep", {})
     if sweep:
         if not isinstance(sweep, dict):
@@ -177,6 +231,8 @@ def validate_config(config: dict) -> list[str]:
                 section, _, key = dotted.partition(".")
                 if section not in ("params", "numerics") or key not in schema.get(section, {}):
                     problems.append(f"sweep key does not name a config entry: {dotted}")
+                elif dotted == "params.model":
+                    problems.append("sweep key params.model: the model fixes the other params keys")
                 elif not isinstance(values, list) or not values:
                     problems.append(f"sweep values for {dotted} must be a non-empty list")
     return problems
@@ -188,7 +244,7 @@ def resolve_config(config: dict) -> dict:
     if problems:
         raise ConfigError("; ".join(problems))
     experiment = config["experiment"]
-    schema = _SCHEMAS[experiment]
+    schema = _schema(experiment, config.get("params"))
     resolved = {
         "experiment": experiment,
         "seed": int(config["seed"]),
@@ -220,38 +276,28 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(cell) for cell in row])
-
-
-def _format_cell(cell):
-    if isinstance(cell, bool):
-        return "1" if cell else "0"
-    if isinstance(cell, float):
-        return f"{cell:.17g}"
-    if isinstance(cell, complex):
-        return f"{cell.real:.17g}{'+' if cell.imag >= 0 else '-'}{abs(cell.imag):.17g}i"
-    return str(cell)
+def _checked_model(name: str, resolved: dict):
+    """Params and FAQ system of the named model, and the summary entries of
+    its FAQ check against the model's reference field."""
+    model = _MODELS[name]
+    params = model.build(resolved["params"])
+    system = model.faq(params)
+    n = resolved["numerics"]
+    check = verify_faq(
+        system,
+        model.field(params),
+        sample_phase_points(model.modes, n["faq_points"], seed=resolved["seed"]),
+        n["faq_tol"],
+    )
+    return params, system, {"faq_max_error": check.max_abs_error, "faq_pass": check.passed}
 
 
 # -- experiment bodies -------------------------------------------------------
 
 
 def _run_oscillator(resolved: dict, out_dir: Path | None) -> dict:
-    p = resolved["params"]
     n = resolved["numerics"]
-    params = models.OscillatorParams(omega0=p["omega0"], lam=p["lambda"], u=p["u"])
-    system = models.oscillator_faq(params)
-    check = verify_faq(
-        system,
-        models.oscillator_field(params),
-        sample_phase_points(1, n["faq_points"], seed=resolved["seed"]),
-        n["faq_tol"],
-    )
+    params, system, summary = _checked_model("oscillator", resolved)
     dim = n["dim"]
     dt = n["evolve.dt"]
     t_end = n["t_end"]
@@ -274,36 +320,26 @@ def _run_oscillator(resolved: dict, out_dir: Path | None) -> dict:
     ehrenfest = float(np.max(np.abs(
         result.expectations["a"][:n_common] - trajectory.states[:n_common, 0]
     )))
-    summary = {
-        "faq_max_error": check.max_abs_error,
-        "faq_pass": check.passed,
+    summary.update({
         "ehrenfest_max_error": ehrenfest,
         "mean_n_final": float(result.expectations["n"][-1].real),
         "max_trace_deviation": result.max_trace_deviation,
         "max_hermiticity_deviation": result.max_hermiticity_deviation,
         "min_eigenvalue": result.min_eigenvalue,
-    }
+    })
     if out_dir is not None:
         export_trajectory_csv(trajectory, out_dir / "classical.csv", weights)
         rows = [
             (t, result.expectations["a"][i], result.expectations["n"][i])
             for i, t in enumerate(result.times)
         ]
-        _write_csv(out_dir / "quantum.csv", ["t", "a", "n"], rows)
+        write_csv(out_dir / "quantum.csv", ["t", "a", "n"], rows)
     return summary
 
 
 def _run_limit_cycle(resolved: dict, out_dir: Path | None) -> dict:
-    p = resolved["params"]
     n = resolved["numerics"]
-    params = models.LimitCycleParams(omega=p["omega"], lam=p["lambda"], mu=p["mu"])
-    system = models.limit_cycle_faq(params)
-    check = verify_faq(
-        system,
-        models.limit_cycle_field(params),
-        sample_phase_points(1, n["faq_points"], seed=resolved["seed"]),
-        n["faq_tol"],
-    )
+    params, _system, summary = _checked_model("limit-cycle", resolved)
     dim = n["dim"]
     distribution = models.recurrence_stationary(params.nu, n["n_max"])
     model = models.limit_cycle_lindblad(params, dim)
@@ -311,55 +347,43 @@ def _run_limit_cycle(resolved: dict, out_dir: Path | None) -> dict:
     diag = np.diag(state.mat).real
     off = state.mat - np.diag(np.diag(state.mat))
     n_common = min(dim, len(distribution))
-    summary = {
+    summary.update({
         "nu": params.nu,
         "mean_n": models.mean_n(params.nu),
         "mandel_q": models.mandel_q(params.nu),
         "diag_max_error": float(np.max(np.abs(diag[:n_common] - distribution[:n_common]))),
         "offdiag_max": float(np.max(np.abs(off))),
-        "faq_max_error": check.max_abs_error,
-        "faq_pass": check.passed,
-    }
+    })
     if out_dir is not None:
         rows = [
             (k, distribution[k] if k < len(distribution) else 0.0, diag[k] if k < dim else 0.0)
             for k in range(max(len(distribution), dim))
         ]
-        _write_csv(out_dir / "distribution.csv", ["n", "p_recurrence", "p_exact"], rows)
+        write_csv(out_dir / "distribution.csv", ["n", "p_recurrence", "p_exact"], rows)
         export_operator_csv(state.op, out_dir / "stationary_state.csv")
     return summary
 
 
 def _run_rotators(resolved: dict, out_dir: Path | None) -> dict:
-    p = resolved["params"]
     n = resolved["numerics"]
-    params = models.RotatorParams(omega1=p["omega1"], omega2=p["omega2"], lam=p["lambda"], l=p["l"])
-    system = models.rotator_faq(params)
-    check = verify_faq(
-        system,
-        models.rotator_field(params),
-        sample_phase_points(2, n["faq_points"], seed=resolved["seed"]),
-        n["faq_tol"],
-    )
+    params, _system, summary = _checked_model("rotators", resolved)
     report = models.closure_vs_exact_report(
         params, null_tol=n["stationary.null_tol"], pos_tol=n["validate.pos_tol"]
     )
     last = report.rows[-1]
-    summary = {
+    summary.update({
         "x_closure": last.x_closure,
         "x_exact": last.x_exact,
         "rel_deviation": last.rel_deviation,
         "lz_exact": last.lz_exact,
-        "faq_max_error": check.max_abs_error,
-        "faq_pass": check.passed,
-    }
+    })
     if out_dir is not None:
         rows = [
             (row.l, row.n_excitations, row.x_closure, row.x_exact,
              row.rel_deviation, row.lz_exact, row.ly_exact)
             for row in report.rows
         ]
-        _write_csv(
+        write_csv(
             out_dir / "closure.csv",
             ["l", "N", "x_closure", "x_exact", "rel_deviation", "lz_exact", "ly_exact"],
             rows,
@@ -367,38 +391,12 @@ def _run_rotators(resolved: dict, out_dir: Path | None) -> dict:
     return summary
 
 
-def _classical_flow_system(p: dict):
-    kind = p["model"]
-    if kind == "oscillator":
-        return models.oscillator_faq(
-            models.OscillatorParams(omega0=p["omega0"], lam=p["lambda"], u=p["u"])
-        )
-    if kind == "limit-cycle":
-        return models.limit_cycle_faq(
-            models.LimitCycleParams(omega=p["omega"], lam=p["lambda"], mu=p["mu"])
-        )
-    if kind == "rotators":
-        return models.rotator_faq(
-            models.RotatorParams(omega1=p["omega1"], omega2=p["omega2"], lam=p["lambda"], l=p["l"])
-        )
-    raise ConfigError(f"unknown classical-flow model {kind!r}")
-
-
 def _run_classical_flow(resolved: dict, out_dir: Path | None) -> dict:
     p = resolved["params"]
     n = resolved["numerics"]
-    for needed in _REQUIRED_MODEL_KEYS.get(p.get("model"), ()):
-        if needed not in p or p[needed] is None:
-            raise ConfigError(f"missing key: params.{needed} (required by model {p.get('model')!r})")
-    system = _classical_flow_system(p)
-    initial = []
-    for entry_ in n["initial"]:
-        coords = [complex(pair[0], pair[1]) for pair in entry_]
-        if len(coords) != system.mode_count:
-            raise ConfigError(
-                f"initial point has {len(coords)} modes, model needs {system.mode_count}"
-            )
-        initial.append(PhasePoint(coords))
+    model = _MODELS[p["model"]]
+    system = model.faq(model.build(p))
+    initial = [PhasePoint([complex(re, im) for re, im in point]) for point in n["initial"]]
     carried = ensemble_weights(system, initial, n["t_end"], n["dt"], record_every=n["record_every"])
     finals = [float(weights[-1]) for _traj, weights in carried]
     summary = {
@@ -412,17 +410,9 @@ def _run_classical_flow(resolved: dict, out_dir: Path | None) -> dict:
     return summary
 
 
-_REQUIRED_MODEL_KEYS = {
-    "oscillator": ("omega0", "lambda"),
-    "limit-cycle": ("omega", "lambda", "mu"),
-    "rotators": ("omega1", "omega2", "lambda"),
-}
-
-
 def _run_conformance(resolved: dict, out_dir: Path | None) -> dict:
-    p = resolved["params"]
     n = resolved["numerics"]
-    params = models.RotatorParams(omega1=p["omega1"], omega2=p["omega2"], lam=p["lambda"], l=p["l"])
+    params = _MODELS["rotators"].build(resolved["params"])
     report = models.moment_equations_conformance(
         params, n_samples=n["n_samples"], seed=resolved["seed"], tol=n["tol"]
     )
@@ -433,7 +423,7 @@ def _run_conformance(resolved: dict, out_dir: Path | None) -> dict:
         summary[f"agrees_{slug}"] = line.agrees
     if out_dir is not None:
         rows = [(line.observable, line.max_abs_deviation, line.agrees) for line in report.lines]
-        _write_csv(out_dir / "conformance.csv", ["moment_equation", "max_abs_deviation", "agrees"], rows)
+        write_csv(out_dir / "conformance.csv", ["moment_equation", "max_abs_deviation", "agrees"], rows)
     return summary
 
 
@@ -484,7 +474,7 @@ def _run_sweep(resolved: dict, out_dir: Path, jobs: int) -> dict:
     rows = []
     for (combo, _point), summary in zip(points, summaries):
         rows.append(list(combo) + [summary[k] for k in summary_keys])
-    _write_csv(out_dir / "sweep.csv", header, rows)
+    write_csv(out_dir / "sweep.csv", header, rows)
     return {"grid_points": len(points), "sweep_keys": ",".join(keys)}
 
 

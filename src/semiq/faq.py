@@ -18,12 +18,12 @@ discover H and R from a raw vector field.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._csv import write_csv
 from .integrate import rk4_path
 from .observables import PhasePoint, Polynomial, _as_coords
 
@@ -253,18 +253,11 @@ def export_trajectory_csv(trajectory: Trajectory, path, weights: np.ndarray | No
         weights = np.ones(len(trajectory))
     if len(weights) != len(trajectory):
         raise ValueError("weights length does not match trajectory")
-    m = trajectory.states.shape[1]
     header = ["t"]
-    for a in range(m):
+    columns = [trajectory.times]
+    for a in range(trajectory.states.shape[1]):
         header.extend([f"re(z{a + 1})", f"im(z{a + 1})"])
+        columns.extend([trajectory.states[:, a].real, trajectory.states[:, a].imag])
     header.append("weight")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for i, t in enumerate(trajectory.times):
-            row = [f"{t:.17g}"]
-            for a in range(m):
-                z = trajectory.states[i, a]
-                row.extend([f"{z.real:.17g}", f"{z.imag:.17g}"])
-            row.append(f"{weights[i]:.17g}")
-            writer.writerow(row)
+    columns.append(weights)
+    write_csv(path, header, np.column_stack(columns).astype(float).tolist())

@@ -21,20 +21,25 @@ def rk4_step(field, t: float, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_path(field, y0: np.ndarray, t_end: float, dt: float, record_every: int = 1):
-    """Integrate dy/dt = field(t, y) from 0 to (approximately) t_end.
-
-    The number of steps is round(t_end / dt), so the final time is within dt
-    of t_end.  Returns (times, states) with states stacked along axis 0,
-    recorded every `record_every` steps plus the final state.  Raises
-    FlowDiverged as soon as a non-finite state appears.
-    """
+def _step_count(t_end: float, dt: float) -> int:
+    """The time-grid rule shared by every integrator: round(t_end / dt)
+    steps of size dt, so the final time is within dt of t_end."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
+    return int(round(t_end / dt))
+
+
+def rk4_path(field, y0: np.ndarray, t_end: float, dt: float, record_every: int = 1):
+    """Integrate dy/dt = field(t, y) from 0 to (approximately) t_end.
+
+    The time grid follows _step_count.  Returns (times, states) with states
+    stacked along axis 0, recorded every `record_every` steps plus the final
+    state.  Raises FlowDiverged as soon as a non-finite state appears.
+    """
+    n_steps = _step_count(t_end, dt)
     y = np.array(y0)
-    n_steps = int(round(t_end / dt))
     times = [0.0]
     states = [y.copy()]
     for step in range(1, n_steps + 1):

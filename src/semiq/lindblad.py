@@ -14,13 +14,13 @@ convert a conventional model.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import DegenerateStationaryState, NumericalFailure, PositivityViolation
+from .integrate import _step_count, rk4_step
 from .quantize import FockSpace, OperatorMatrix, SpinRep
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "expectation",
     "adjoint_generator",
     "adjoint_rate",
-    "export_expectations_csv",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -183,11 +182,9 @@ def evolve(
     -pos_abort_tol aborts, which signals that the step is too large or the
     Fock truncation too small for this state.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    n_steps = _step_count(t_end, dt)
     if rho0.dim != model.dim:
         raise ValueError("initial state dimension does not match model")
-    n_steps = int(round(t_end / dt))
     if sample_every is None:
         sample_every = max(1, n_steps // 200)
     observables = dict(observables or {})
@@ -216,13 +213,12 @@ def evolve(
             )
 
     record(0.0, rho)
-    sixth = dt / 6.0
+
+    def field(_t, mat):
+        return model._rhs_mat(mat)
+
     for step in range(1, n_steps + 1):
-        k1 = model._rhs_mat(rho)
-        k2 = model._rhs_mat(rho + 0.5 * dt * k1)
-        k3 = model._rhs_mat(rho + 0.5 * dt * k2)
-        k4 = model._rhs_mat(rho + dt * k3)
-        rho = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = rk4_step(field, (step - 1) * dt, rho, dt)
         if not np.all(np.isfinite(rho)):
             raise PositivityViolation(f"non-finite density matrix at t={step * dt:.6g}")
         if step % sample_every == 0 or step == n_steps:
@@ -326,20 +322,3 @@ def adjoint_rate(
 ) -> complex:
     """d<A>/dt for the given state; equals tr(A * lindblad_rhs(rho))."""
     return expectation(rho, adjoint_generator(observable, model))
-
-
-def export_expectations_csv(result: EvolveResult, path):
-    """Write `t, <name>_re, <name>_im, ...` sample rows."""
-    names = sorted(result.expectations)
-    header = ["t"]
-    for name in names:
-        header.extend([f"{name}_re", f"{name}_im"])
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for i, t in enumerate(result.times):
-            row = [f"{t:.17g}"]
-            for name in names:
-                value = result.expectations[name][i]
-                row.extend([f"{value.real:.17g}", f"{value.imag:.17g}"])
-            writer.writerow(row)

@@ -591,82 +591,21 @@ def ly2_analytic(n_excitations: float) -> float:
     return (sqrt(n * n + 2.0 * n + 9.0 / 16.0) - 0.75) / 8.0
 
 
-def _closure_equations(m: np.ndarray, casimir: float) -> np.ndarray:
-    """Stationary cumulant-closed moment system at delta = 0.
-
-    Unknowns m = (lx, ly, lz, lx2, ly2, lz2, sym_xy); pair moments
-    <lx ly> = <ly lx> = sym_xy / 2.
-    """
-    lx, ly, lz, lx2, ly2, lz2, sym = m
-    xy = sym / 2.0
-    return np.array([
-        lz,
-        xy + ly / 4.0,
-        ly2 - lx / 2.0,
-        lx2 - lz2,
-        4.0 * (2.0 * ly * xy + lx * ly2 - 2.0 * lx * ly * ly) + (ly2 - lx2),
-        8.0 * (3.0 * ly2 * ly - 2.0 * ly**3)
-        - 8.0 * (2.0 * xy * lx + ly * lx2 - 2.0 * ly * lx * lx)
-        - 10.0 * xy
-        - ly,
-        lx2 + ly2 + lz2 - casimir,
-    ])
-
-
-def _newton_closure(n: float, casimir: float) -> np.ndarray:
-    x0 = n / 8.0
-    m = np.array([2.0 * x0, 0.0, 0.0, (casimir - x0) / 2.0, x0, (casimir - x0) / 2.0, 0.0])
-    residual = _closure_equations(m, casimir)
-    for _ in range(200):
-        norm = np.max(np.abs(residual))
-        if norm <= 1e-13 * max(1.0, casimir):
-            return m
-        jac = np.zeros((7, 7))
-        for j in range(7):
-            h = 1e-7 * max(1.0, abs(m[j]))
-            up = m.copy()
-            up[j] += h
-            down = m.copy()
-            down[j] -= h
-            jac[:, j] = (_closure_equations(up, casimir) - _closure_equations(down, casimir)) / (2.0 * h)
-        step = np.linalg.solve(jac, -residual)
-        damping = 1.0
-        for _ in range(30):
-            trial = m + damping * step
-            trial_residual = _closure_equations(trial, casimir)
-            if np.max(np.abs(trial_residual)) < norm:
-                m, residual = trial, trial_residual
-                break
-            damping /= 2.0
-        else:
-            raise RuntimeError("closure Newton iteration stalled")
-    raise RuntimeError("closure Newton iteration did not converge")
-
-
-def closure_stationary(n_excitations: float, delta: float = 0.0, method: str = "analytic") -> MomentState:
+def closure_stationary(n_excitations: float, delta: float = 0.0) -> MomentState:
     """Stationary moments of the synchronized rotators under cumulant closure.
 
     Solves the decoupled moment system together with the angular momentum
-    budget lx2 + ly2 + lz2 = (N/2)(N/2+1).  Only complete synchronization
-    (delta = 0) is supported.  `method` selects the closed-form reduction
-    ("analytic") or a damped Newton solve of the full system ("newton");
-    the two agree to 1e-10 and the duplication guards the algebra.
+    budget lx2 + ly2 + lz2 = (N/2)(N/2+1) by its closed-form quadratic
+    reduction.  Only complete synchronization (delta = 0) is supported.
     """
     if delta != 0.0:
         raise ValueError("only the completely synchronized case delta = 0 is supported")
     n = float(n_excitations)
     if n < 2:
         raise ValueError("N must be at least 2")
-    half = n / 2.0
-    casimir = half * (half + 1.0)
-    if method == "analytic":
-        x = ly2_analytic(n)
-        second = 8.0 * x * x + x
-        return MomentState(lx=2.0 * x, ly=0.0, lz=0.0, lx2=second, ly2=x, lz2=second, sym_xy=0.0)
-    if method == "newton":
-        m = _newton_closure(n, casimir)
-        return MomentState(lx=m[0], ly=m[1], lz=m[2], lx2=m[3], ly2=m[4], lz2=m[5], sym_xy=m[6])
-    raise ValueError(f"unknown method {method!r}")
+    x = ly2_analytic(n)
+    second = 8.0 * x * x + x
+    return MomentState(lx=2.0 * x, ly=0.0, lz=0.0, lx2=second, ly2=x, lz2=second, sym_xy=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ the cut.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
+
+from ._csv import write_csv
 
 __all__ = [
     "FockSpace",
@@ -32,7 +33,6 @@ __all__ = [
     "number",
     "weyl_quantize",
     "normal_quantize",
-    "quantize",
     "schwinger_spin",
     "spin_operators",
     "symmetrize_product",
@@ -252,14 +252,6 @@ def normal_quantize(poly, space: FockSpace) -> OperatorMatrix:
     return _quantize(poly, space, _normal_single_mode)
 
 
-def quantize(poly, space: FockSpace, ordering: str = "weyl") -> OperatorMatrix:
-    if ordering == "weyl":
-        return weyl_quantize(poly, space)
-    if ordering == "normal":
-        return normal_quantize(poly, space)
-    raise ValueError(f"unknown ordering {ordering!r}")
-
-
 def tensor_embed(op: OperatorMatrix, mode: int, space: FockSpace) -> OperatorMatrix:
     """Embed a single-mode operator at the given mode, identity elsewhere."""
     if not 0 <= mode < space.n_modes:
@@ -348,10 +340,5 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 
 def export_operator_csv(op: OperatorMatrix, path):
     """Dump as `row, col, re, im` rows (all entries, row-major)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["row", "col", "re", "im"])
-        for i in range(op.dim):
-            for j in range(op.dim):
-                value = op.mat[i, j]
-                writer.writerow([i, j, f"{value.real:.17g}", f"{value.imag:.17g}"])
+    rows = ((i, j, value.real, value.imag) for (i, j), value in np.ndenumerate(op.mat))
+    write_csv(path, ["row", "col", "re", "im"], rows)

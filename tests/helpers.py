@@ -1,8 +1,10 @@
-"""Shared test utilities: seeded random inputs with exact arithmetic."""
+"""Shared test utilities: seeded random inputs with exact arithmetic, and
+independent oracles for closed forms computed by the library."""
 
 import numpy as np
 
 from semiq import DensityMatrix, OperatorMatrix, Polynomial
+from semiq.models import MomentState
 
 
 def random_polynomial(rng, mode_count, max_degree, n_terms=6, integer=True):
@@ -42,3 +44,61 @@ def random_density_operator(rng, dim):
 
 def random_density(rng, dim):
     return DensityMatrix(random_density_operator(rng, dim))
+
+
+def _closure_equations(m: np.ndarray, casimir: float) -> np.ndarray:
+    """Stationary cumulant-closed moment system at delta = 0.
+
+    Unknowns m = (lx, ly, lz, lx2, ly2, lz2, sym_xy); pair moments
+    <lx ly> = <ly lx> = sym_xy / 2.
+    """
+    lx, ly, lz, lx2, ly2, lz2, sym = m
+    xy = sym / 2.0
+    return np.array([
+        lz,
+        xy + ly / 4.0,
+        ly2 - lx / 2.0,
+        lx2 - lz2,
+        4.0 * (2.0 * ly * xy + lx * ly2 - 2.0 * lx * ly * ly) + (ly2 - lx2),
+        8.0 * (3.0 * ly2 * ly - 2.0 * ly**3)
+        - 8.0 * (2.0 * xy * lx + ly * lx2 - 2.0 * ly * lx * lx)
+        - 10.0 * xy
+        - ly,
+        lx2 + ly2 + lz2 - casimir,
+    ])
+
+
+def newton_closure(n_excitations: float) -> MomentState:
+    """Oracle for models.closure_stationary: a damped Newton solve of the
+    full cumulant-closed moment system at delta = 0, with no use of its
+    closed-form quadratic reduction."""
+    n = float(n_excitations)
+    half = n / 2.0
+    casimir = half * (half + 1.0)
+    x0 = n / 8.0
+    m = np.array([2.0 * x0, 0.0, 0.0, (casimir - x0) / 2.0, x0, (casimir - x0) / 2.0, 0.0])
+    residual = _closure_equations(m, casimir)
+    for _ in range(200):
+        norm = np.max(np.abs(residual))
+        if norm <= 1e-13 * max(1.0, casimir):
+            return MomentState(lx=m[0], ly=m[1], lz=m[2], lx2=m[3], ly2=m[4], lz2=m[5], sym_xy=m[6])
+        jac = np.zeros((7, 7))
+        for j in range(7):
+            h = 1e-7 * max(1.0, abs(m[j]))
+            up = m.copy()
+            up[j] += h
+            down = m.copy()
+            down[j] -= h
+            jac[:, j] = (_closure_equations(up, casimir) - _closure_equations(down, casimir)) / (2.0 * h)
+        step = np.linalg.solve(jac, -residual)
+        damping = 1.0
+        for _ in range(30):
+            trial = m + damping * step
+            trial_residual = _closure_equations(trial, casimir)
+            if np.max(np.abs(trial_residual)) < norm:
+                m, residual = trial, trial_residual
+                break
+            damping /= 2.0
+        else:
+            raise RuntimeError("closure Newton iteration stalled")
+    raise RuntimeError("closure Newton iteration did not converge")

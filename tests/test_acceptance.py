@@ -11,7 +11,7 @@ from math import exp, factorial, sinh
 
 import numpy as np
 
-from helpers import random_density_operator, random_operator
+from helpers import newton_closure, random_density_operator, random_operator
 from semiq import (
     FockSpace,
     DensityMatrix,
@@ -280,8 +280,8 @@ def test_c10_closure_quadratic():
     for n in (2.0, 10.0, 100.0, 1e4):
         x = ly2_analytic(n)
         ok = ok and abs(8 * x * x + 1.5 * x - n * n / 8 - n / 4) <= 1e-12
-        analytic = closure_stationary(n, method="analytic")
-        newton = closure_stationary(n, method="newton")
+        analytic = closure_stationary(n)
+        newton = newton_closure(n)
         for field_name in ("lx", "ly", "lz", "lx2", "ly2", "lz2", "sym_xy"):
             scale = max(1.0, abs(getattr(analytic, field_name)))
             ok = ok and abs(getattr(analytic, field_name) - getattr(newton, field_name)) <= 1e-10 * scale

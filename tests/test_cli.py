@@ -92,6 +92,77 @@ def test_resolve_fills_defaults():
     assert resolved["numerics"]["faq_points"] == 100
 
 
+# Every shipped config with its resolved `params` and `numerics`, each default
+# filled in.  Compared as JSON text, so 5 against 5.0 counts as a change.
+RESOLVED_SHIPPED = {
+    "classical_flow.json": (
+        {"model": "limit-cycle", "omega": 1.0, "lambda": 0.5, "mu": 0.5},
+        {"dt": 0.001, "t_end": 30.0, "record_every": 100,
+         "initial": [[[0.1, 0.0]], [[1.5, 0.0]], [[0.0, 0.7]]]},
+    ),
+    "conformance.json": (
+        {"omega1": 1.05, "omega2": 0.95, "lambda": 0.3, "l": 5.0},
+        {"n_samples": 50, "tol": 1e-10},
+    ),
+    "limit_cycle.json": (
+        {"omega": 1.0, "lambda": 1.0, "mu": 1.0},
+        {"dim": 30, "n_max": 30, "stationary.null_tol": 1e-10, "validate.pos_tol": 1e-8,
+         "faq_points": 100, "faq_tol": 1e-12},
+    ),
+    "limit_cycle_sweep.json": (
+        {"omega": 1.0, "lambda": 1.0, "mu": 1.0},
+        {"dim": 30, "n_max": 40, "stationary.null_tol": 1e-10, "validate.pos_tol": 1e-8,
+         "faq_points": 100, "faq_tol": 1e-12},
+    ),
+    "oscillator.json": (
+        {"omega0": 1.0, "lambda": 0.1, "u": 0.0},
+        {"dim": 40, "evolve.dt": 0.001, "t_end": 20.0, "alpha": [2.0, 0.0], "sample_every": 0,
+         "validate.pos_tol": 1e-8, "faq_points": 100, "faq_tol": 1e-12},
+    ),
+    "rotators.json": (
+        {"omega1": 1.0, "omega2": 1.0, "lambda": 0.3, "l": 10.0},
+        {"stationary.null_tol": 1e-10, "validate.pos_tol": 1e-8, "faq_points": 100, "faq_tol": 1e-12},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_resolve_shipped_config(name):
+    params, numerics = RESOLVED_SHIPPED[name]
+    resolved = resolve_config(json.loads((CONFIG_DIR / name).read_text()))
+    for section, expected in (("params", params), ("numerics", numerics)):
+        assert json.dumps(resolved[section], sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def flow_config(params=None, initial=None, **overrides):
+    config = {
+        "experiment": "classical-flow",
+        "seed": 1,
+        "params": params or {"model": "limit-cycle", "omega": 1.0, "lambda": 0.5, "mu": 0.5},
+        "numerics": {"dt": 0.01, "t_end": 0.1, "initial": [[[0.1, 0.0]]] if initial is None else initial},
+    }
+    config.update(overrides)
+    return config
+
+
+@pytest.mark.parametrize("config, named", [
+    (flow_config(params={"model": "pendulum", "omega": 1.0}), "params.model"),
+    (flow_config(params={"model": "limit-cycle", "omega": 1.0, "lambda": 0.5}), "params.mu"),
+    (flow_config(params={"model": "limit-cycle", "omega": 1.0, "lambda": 0.5, "mu": 0.5, "u": 0.0}), "params.u"),
+    (flow_config(initial=[]), "numerics.initial"),
+    (flow_config(initial=[[[0.1, 0.0], [0.2, 0.0]]]), "numerics.initial[0]"),
+    (flow_config(sweep={"params.model": ["limit-cycle", "oscillator"]}), "params.model"),
+], ids=["unknown-model", "missing-key", "extra-key", "empty-initial", "mode-count", "swept-model"])
+def test_classical_flow_rejected_before_run(tmp_path, capsys, config, named):
+    path = write_config(tmp_path, config)
+    assert main(["validate", str(path)]) == 1
+    assert named in capsys.readouterr().out
+    out_root = tmp_path / "runs"
+    assert main(["run", str(path), "--output-dir", str(out_root)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out_root.exists() or not any(out_root.iterdir())
+
+
 def test_unreadable_config(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"

@@ -136,6 +136,8 @@ def test_evolve_validates_input():
         evolve(decay_model(4), DensityMatrix.fock_state(4, 0), 1.0, -0.1)
     with pytest.raises(ValueError):
         evolve(decay_model(4), DensityMatrix.fock_state(5, 0), 1.0, 0.1)
+    with pytest.raises(ValueError, match="t_end"):
+        evolve(decay_model(4), DensityMatrix.fock_state(4, 0), -1.0, 0.1)
 
 
 # -- stationary states -----------------------------------------------------------

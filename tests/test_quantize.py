@@ -1,4 +1,6 @@
 import csv
+import importlib
+import inspect
 
 import numpy as np
 import pytest
@@ -142,15 +144,13 @@ def test_quantize_rejects_mode_mismatch():
         weyl_quantize(Polynomial.z(0, 2), FockSpace((8,)))
 
 
-def test_quantize_dispatcher():
-    from semiq import quantize
+def test_quantize_module_is_not_shadowed():
+    """`semiq.quantize` is the module; no function is re-exported over it."""
+    module = importlib.import_module("semiq.quantize")
+    assert inspect.ismodule(module)
+    import semiq.quantize as q
 
-    space = FockSpace((6,))
-    p = QUADRATICS["z zc"]
-    assert np.array_equal(quantize(p, space, "weyl").mat, weyl_quantize(p, space).mat)
-    assert np.array_equal(quantize(p, space, "normal").mat, normal_quantize(p, space).mat)
-    with pytest.raises(ValueError):
-        quantize(p, space, "antinormal")
+    assert q is module
 
 
 # -- correspondence on quadratics ---------------------------------------------------

@@ -3,6 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from helpers import newton_closure
 from semiq import (
     DensityMatrix,
     FockSpace,
@@ -256,8 +257,8 @@ def test_closure_stationary_structure():
 
 def test_closure_newton_agrees_with_analytic():
     for n in (2.0, 10.0, 100.0, 1e4):
-        analytic = closure_stationary(n, method="analytic")
-        newton = closure_stationary(n, method="newton")
+        analytic = closure_stationary(n)
+        newton = newton_closure(n)
         for field in ("lx", "ly", "lz", "lx2", "ly2", "lz2", "sym_xy"):
             scale = max(1.0, abs(getattr(analytic, field)))
             assert abs(getattr(analytic, field) - getattr(newton, field)) <= 1e-10 * scale
@@ -268,8 +269,6 @@ def test_closure_validation():
         closure_stationary(1.0)
     with pytest.raises(ValueError):
         closure_stationary(10.0, delta=0.1)
-    with pytest.raises(ValueError):
-        closure_stationary(10.0, method="bogus")
     with pytest.raises(ValueError):
         ly2_analytic(0.0)
 
