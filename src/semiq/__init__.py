@@ -37,6 +37,7 @@ from .lindblad import (
     expectation,
     lindblad_rhs,
     liouvillian_matrix,
+    liouvillian_sectors,
     stationary,
 )
 from .models import (

@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -190,6 +191,34 @@ def _flow_problems(params, numerics) -> list[str]:
     return problems
 
 
+def _null_paths(value, path: str):
+    """Dotted paths of every JSON null inside value."""
+    if value is None:
+        yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _null_paths(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _null_paths(item, f"{path}[{i}]")
+
+
+def _cast(cast, value):
+    return list(value) if cast is list else cast(value)
+
+
+def _cast_problem(name: str, cast, value) -> list[str]:
+    """A problem naming a value its schema caster rejects; nulls are named
+    by the null check instead."""
+    if value is None:
+        return []
+    try:
+        _cast(cast, value)
+    except (TypeError, ValueError) as exc:
+        return [f"bad value for {name}: {exc}"]
+    return []
+
+
 def validate_config(config: dict) -> list[str]:
     """Schema check without running; returns a list of named problems."""
     problems: list[str] = []
@@ -209,17 +238,20 @@ def validate_config(config: dict) -> list[str]:
     for key in config:
         if key not in allowed_top:
             problems.append(f"extra key: {key}")
+    problems.extend(f"null value: {path}" for path in _null_paths(config, ""))
     for section in ("params", "numerics"):
         given = config.get(section, {})
         if not isinstance(given, dict):
             problems.append(f"{section} must be an object")
             continue
-        for key, (required, _default, _cast) in schema[section].items():
+        for key, (required, _default, _caster) in schema[section].items():
             if required and key not in given:
                 problems.append(f"missing key: {section}.{key}")
-        for key in given:
+        for key, value in given.items():
             if key not in schema[section]:
                 problems.append(f"extra key: {section}.{key}")
+            else:
+                problems.extend(_cast_problem(f"{section}.{key}", schema[section][key][2], value))
     if experiment == "classical-flow":
         problems.extend(_flow_problems(config.get("params", {}), config.get("numerics", {})))
     sweep = config.get("sweep", {})
@@ -235,6 +267,10 @@ def validate_config(config: dict) -> list[str]:
                     problems.append("sweep key params.model: the model fixes the other params keys")
                 elif not isinstance(values, list) or not values:
                     problems.append(f"sweep values for {dotted} must be a non-empty list")
+                else:
+                    cast = schema[section][key][2]
+                    for i, value in enumerate(values):
+                        problems.extend(_cast_problem(f"sweep {dotted}[{i}]", cast, value))
     return problems
 
 
@@ -251,18 +287,16 @@ def resolve_config(config: dict) -> dict:
         "output_dir": config.get("output_dir", "runs"),
         "params": {},
         "numerics": {},
-        "sweep": config.get("sweep", {}),
+        "sweep": {},
     }
     for section in ("params", "numerics"):
         given = config.get(section, {})
         for key, (_required, default, cast) in schema[section].items():
-            value = given.get(key, default)
-            if value is None:
-                continue
-            try:
-                resolved[section][key] = cast(value) if cast is not list else list(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
+            resolved[section][key] = _cast(cast, given.get(key, default))
+    for dotted, values in config.get("sweep", {}).items():
+        section, _, key = dotted.partition(".")
+        cast = schema[section][key][2]
+        resolved["sweep"][dotted] = [_cast(cast, value) for value in values]
     return resolved
 
 
@@ -464,8 +498,9 @@ def _run_sweep(resolved: dict, out_dir: Path, jobs: int) -> dict:
             overridden = _apply_override(overridden, dotted, value)
         points.append((combo, overridden))
     payloads = [json.dumps(point, sort_keys=True) for _combo, point in points]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(points), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_sweep_point, payloads))
     else:
         summaries = [_sweep_point(payload) for payload in payloads]
@@ -482,7 +517,13 @@ def _run_sweep(resolved: dict, out_dir: Path, jobs: int) -> dict:
 
 
 def run_config(config: dict, output_dir: str | None = None, seed: int | None = None, jobs: int = 1) -> Path:
-    """Resolve, run, and write artifacts; returns the run directory."""
+    """Resolve, run, and write artifacts; returns the run directory.
+
+    A sweep runs its grid points on min(jobs, grid points, cpu count)
+    worker processes.
+    """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     config = dict(config)
     if seed is not None:
         config["seed"] = seed

@@ -30,6 +30,7 @@ __all__ = [
     "evolve",
     "EvolveResult",
     "liouvillian_matrix",
+    "liouvillian_sectors",
     "stationary",
     "expectation",
     "adjoint_generator",
@@ -236,14 +237,75 @@ def evolve(
     )
 
 
-def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
-    """The generator as a dim^2 x dim^2 matrix on column-stacked matrices."""
+def _effective_hamiltonian(model: LindbladModel) -> np.ndarray:
+    """K = -i H - sum_j R_j+ R_j, so that the generator is K rho + rho K+ + 2 sum_j R_j rho R_j+."""
+    k = -1j * model.h.mat
+    for _r, _r_dag, rdr in model._channel_data:
+        k = k - rdr
+    return k
+
+
+def liouvillian_sectors(model: LindbladModel) -> list[np.ndarray]:
+    """Column-stacked positions of each sector of the vectorized generator.
+
+    A sector is a connected component of the generator's sparsity pattern,
+    found from the supports of K and of each R_j without forming the
+    matrix; the generator is block diagonal over the sectors.  Positions
+    are ascending within a sector and sectors are ordered by their first
+    position.  A number-covariant model such as the limit cycle splits
+    into the 2 dim - 1 diagonals i - j = s of rho.
+    """
     d = model.dim
-    eye = np.eye(d, dtype=complex)
-    h = model.h.mat
-    out = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for r, _r_dag, rdr in model._channel_data:
-        out += 2.0 * np.kron(r.conj(), r) - np.kron(eye, rdr) - np.kron(rdr.T, eye)
+    index = np.arange(d)
+    k_rows, k_cols = np.nonzero(_effective_hamiltonian(model))
+    # K rho joins (i, j) to (k, j) where K_ki != 0; rho K+ joins (i, j) to
+    # (i, l) where K_lj != 0; R rho R+ joins (i, j) to (k, l) where R_ki and
+    # R_lj are both non-zero.
+    src = [(k_cols[:, None] + d * index).ravel(), (index[:, None] + d * k_cols).ravel()]
+    dst = [(k_rows[:, None] + d * index).ravel(), (index[:, None] + d * k_rows).ravel()]
+    for r, _r_dag, _rdr in model._channel_data:
+        rows, cols = np.nonzero(r)
+        src.append((cols[:, None] + d * cols).ravel())
+        dst.append((rows[:, None] + d * rows).ravel())
+    src = np.concatenate(src)
+    dst = np.concatenate(dst)
+    # Label propagation with pointer jumping: each label is a position in
+    # the same component and only decreases, so it ends at the component's
+    # smallest position.
+    labels = np.arange(d * d)
+    while not np.array_equal(labels[src], labels[dst]):
+        low = np.minimum(labels[src], labels[dst])
+        np.minimum.at(labels, src, low)
+        np.minimum.at(labels, dst, low)
+        labels = labels[labels]
+    _roots, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    return np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+
+
+def liouvillian_matrix(model: LindbladModel, positions: np.ndarray | None = None) -> np.ndarray:
+    """The generator as a matrix on column-stacked matrices.
+
+    With no positions this is the full dim^2 x dim^2 matrix; otherwise the
+    block of rows and columns at the given column-stacked positions
+    (i + dim j for rho_ij), e.g. one of liouvillian_sectors.  Entries are
+
+        L[(k,l),(i,j)] = K_ki d_lj + d_ki conj(K_lj) + 2 sum_m (R_m)_ki conj((R_m)_lj)
+
+    with K = -i H - sum_m R_m+ R_m the effective Hamiltonian and d the
+    Kronecker delta.
+    """
+    d = model.dim
+    positions = np.arange(d * d) if positions is None else np.asarray(positions)
+    cols, rows = np.divmod(positions, d)
+
+    def entries(op, index):  # op[index[a], index[b]]; two takes beat one fancy index
+        return op.take(index, 0).take(index, 1)
+
+    k = _effective_hamiltonian(model)
+    out = entries(k, rows) * (cols[:, None] == cols)
+    out += (rows[:, None] == rows) * entries(k.conj(), cols)
+    for r, _r_dag, _rdr in model._channel_data:
+        out += entries(r, rows) * entries(2.0 * r.conj(), cols)
     return out
 
 
@@ -255,20 +317,29 @@ def stationary(
 ) -> DensityMatrix:
     """Unique stationary state from the null space of the vectorized generator.
 
-    A full SVD of the dim^2 x dim^2 generator is used; singular values below
-    null_tol relative to the largest count as null directions.  A null space
-    of dimension other than one raises DegenerateStationaryState with the
-    computed dimension.  The null vector is Hermitized, trace-normalized and
-    validated (residual below residual_tol, eigenvalues above -pos_tol).
+    Each sector block of the generator (liouvillian_sectors) gets a full SVD;
+    the singular values of the whole generator are the union over the
+    blocks.  Singular values at or below null_tol relative to the largest
+    count as null directions.  A null space of dimension other than one
+    raises DegenerateStationaryState with the computed dimension.  The null
+    vector is Hermitized, trace-normalized and validated (residual below
+    residual_tol, eigenvalues above -pos_tol).
     """
     d = model.dim
-    gen = liouvillian_matrix(model)
-    _u, s, vh = np.linalg.svd(gen)
-    scale = s[0] if s[0] > 0 else 1.0
-    null_dim = int(np.sum(s <= null_tol * scale))
+    solves = []
+    for positions in liouvillian_sectors(model):
+        _u, s, vh = np.linalg.svd(liouvillian_matrix(model, positions))
+        solves.append((positions, s, vh[-1]))
+    scale = max(s[0] for _positions, s, _v in solves)
+    scale = scale if scale > 0 else 1.0
+    null_counts = [int(np.sum(s <= null_tol * scale)) for _positions, s, _v in solves]
+    null_dim = sum(null_counts)
     if null_dim != 1:
         raise DegenerateStationaryState(null_dim)
-    candidate = vh[-1].conj().reshape((d, d), order="F")
+    positions, _s, null = solves[null_counts.index(1)]
+    vector = np.zeros(d * d, dtype=complex)
+    vector[positions] = null.conj()
+    candidate = vector.reshape((d, d), order="F")
     candidate = (candidate + candidate.conj().T) / 2.0
     trace = np.trace(candidate).real
     if abs(trace) < 1e-14:

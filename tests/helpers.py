@@ -3,7 +3,8 @@ independent oracles for closed forms computed by the library."""
 
 import numpy as np
 
-from semiq import DensityMatrix, OperatorMatrix, Polynomial
+from semiq import DegenerateStationaryState, DensityMatrix, NumericalFailure, OperatorMatrix, Polynomial
+from semiq.lindblad import POSITIVITY_TOL, liouvillian_matrix
 from semiq.models import MomentState
 
 
@@ -102,3 +103,35 @@ def newton_closure(n_excitations: float) -> MomentState:
         else:
             raise RuntimeError("closure Newton iteration stalled")
     raise RuntimeError("closure Newton iteration did not converge")
+
+
+def svd_stationary(model, null_tol=1e-10, residual_tol=1e-10, pos_tol=POSITIVITY_TOL):
+    """Oracle for lindblad.stationary: one full SVD of the whole dim^2 x dim^2
+    generator, with no use of its sectors.  Same null-space rule and checks."""
+    d = model.dim
+    gen = liouvillian_matrix(model)
+    _u, s, vh = np.linalg.svd(gen)
+    scale = s[0] if s[0] > 0 else 1.0
+    null_dim = int(np.sum(s <= null_tol * scale))
+    if null_dim != 1:
+        raise DegenerateStationaryState(null_dim)
+    candidate = vh[-1].conj().reshape((d, d), order="F")
+    candidate = (candidate + candidate.conj().T) / 2.0
+    trace = np.trace(candidate).real
+    if abs(trace) < 1e-14:
+        raise NumericalFailure("stationary candidate has (near) zero trace")
+    candidate = candidate / trace
+
+    residual = float(np.max(np.abs(model._rhs_mat(candidate))))
+    if residual > residual_tol:
+        raise NumericalFailure(
+            f"stationary residual {residual:.3e} exceeds {residual_tol:.1e}"
+        )
+    min_eig = float(np.linalg.eigvalsh(candidate).min())
+    if min_eig < -pos_tol:
+        raise NumericalFailure(
+            f"stationary state has eigenvalue {min_eig:.3e}: truncation too small"
+        )
+    return DensityMatrix(
+        OperatorMatrix(candidate, model.h.basis), pos_tol=pos_tol
+    )

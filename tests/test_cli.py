@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from semiq.cli import main, resolve_config, validate_config
+from semiq import cli
+from semiq.cli import _config_hash, main, resolve_config, validate_config
 from semiq.models import ly2_analytic
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -154,6 +155,10 @@ def flow_config(params=None, initial=None, **overrides):
     (flow_config(sweep={"params.model": ["limit-cycle", "oscillator"]}), "params.model"),
 ], ids=["unknown-model", "missing-key", "extra-key", "empty-initial", "mode-count", "swept-model"])
 def test_classical_flow_rejected_before_run(tmp_path, capsys, config, named):
+    assert_rejected_before_run(tmp_path, capsys, config, named)
+
+
+def assert_rejected_before_run(tmp_path, capsys, config, named):
     path = write_config(tmp_path, config)
     assert main(["validate", str(path)]) == 1
     assert named in capsys.readouterr().out
@@ -161,6 +166,53 @@ def test_classical_flow_rejected_before_run(tmp_path, capsys, config, named):
     assert main(["run", str(path), "--output-dir", str(out_root)]) == 1
     assert named in capsys.readouterr().err
     assert not out_root.exists() or not any(out_root.iterdir())
+
+
+def limit_cycle_with(section, key, value):
+    config = limit_cycle_config()
+    config[section][key] = value
+    return config
+
+
+@pytest.mark.parametrize("config, named", [
+    (limit_cycle_with("numerics", "dim", None), "numerics.dim"),
+    (limit_cycle_with("numerics", "stationary.null_tol", None), "numerics.stationary.null_tol"),
+    (limit_cycle_with("params", "mu", None), "params.mu"),
+    (limit_cycle_config(sweep={"params.lambda": [0.5, None]}), "sweep.params.lambda[1]"),
+    (limit_cycle_config(sweep={"params.lambda": ["x"]}), "params.lambda[0]"),
+    (limit_cycle_config(sweep={"numerics.dim": [12, [16]]}), "numerics.dim[1]"),
+    (limit_cycle_with("numerics", "n_max", "many"), "numerics.n_max"),
+], ids=["null-required", "null-optional", "null-param", "null-sweep-value",
+        "sweep-not-a-number", "sweep-list-for-int", "not-an-int"])
+def test_bad_value_rejected_before_run(tmp_path, capsys, config, named):
+    assert_rejected_before_run(tmp_path, capsys, config, named)
+
+
+def test_validate_names_null_output_dir():
+    # --output-dir overrides it at run time, so only validate can name it
+    assert validate_config(limit_cycle_config(output_dir=None)) == ["null value: output_dir"]
+
+
+def test_resolve_casts_sweep_values():
+    resolved = resolve_config(limit_cycle_config(sweep={"params.lambda": ["0.5", 1], "numerics.dim": [12.0]}))
+    assert json.dumps(resolved["sweep"], sort_keys=True) == '{"numerics.dim": [12], "params.lambda": [0.5, 1.0]}'
+
+
+# The run-directory hash of every shipped config; a change to how configs are
+# resolved must leave each one as it is.
+SHIPPED_HASHES = {
+    "classical_flow.json": "fa77a73a9fe0",
+    "conformance.json": "28173589e9b7",
+    "limit_cycle.json": "e5c79d12cc02",
+    "limit_cycle_sweep.json": "0ce377e9638e",
+    "oscillator.json": "83ed63ff4129",
+    "rotators.json": "0c891b1b3006",
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_shipped_config_hash(name):
+    assert _config_hash(resolve_config(json.loads((CONFIG_DIR / name).read_text()))) == SHIPPED_HASHES[name]
 
 
 def test_unreadable_config(tmp_path, capsys):
@@ -314,3 +366,63 @@ def test_sweep_parallel_matches_serial(tmp_path):
     serial = (run_dir_of(serial_root) / "sweep.csv").read_bytes()
     parallel = (run_dir_of(parallel_root) / "sweep.csv").read_bytes()
     assert serial == parallel
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size, maps in process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    RecordingPool.sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def three_point_sweep(tmp_path):
+    config = limit_cycle_config(
+        numerics={"dim": 12, "n_max": 30},
+        sweep={"params.lambda": [0.8, 1.0, 1.2]},
+    )
+    return write_config(tmp_path, config)
+
+
+@pytest.mark.parametrize("jobs, cpus, sizes", [
+    (64, 8, [3]),
+    (2, 8, [2]),
+    (64, 1, []),
+    (64, None, []),
+    (1, 8, []),
+])
+def test_jobs_clamped_to_points_and_cpus(tmp_path, monkeypatch, recording_pool, jobs, cpus, sizes):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    path = three_point_sweep(tmp_path)
+    out_root = tmp_path / "runs"
+    assert main(["run", str(path), "--output-dir", str(out_root), "--jobs", str(jobs)]) == 0
+    assert recording_pool.sizes == sizes
+    with open(run_dir_of(out_root) / "sweep.csv") as handle:
+        assert len(list(csv.reader(handle))) == 4
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected_before_run(tmp_path, capsys, recording_pool, jobs):
+    path = three_point_sweep(tmp_path)
+    out_root = tmp_path / "runs"
+    assert main(["run", str(path), "--output-dir", str(out_root), "--jobs", str(jobs)]) == 1
+    assert "jobs" in capsys.readouterr().err
+    assert not out_root.exists()
+    assert recording_pool.sizes == []

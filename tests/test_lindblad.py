@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_density_operator, random_hermitian, random_operator
+from helpers import random_density_operator, random_hermitian, random_operator, svd_stationary
 from semiq import (
     DegenerateStationaryState,
     DensityMatrix,
@@ -17,6 +17,7 @@ from semiq import (
     expectation,
     lindblad_rhs,
     liouvillian_matrix,
+    liouvillian_sectors,
     number,
     spin_operators,
     stationary,
@@ -171,6 +172,76 @@ def test_stationary_reports_degeneracy():
     with pytest.raises(DegenerateStationaryState) as excinfo:
         stationary(model)
     assert excinfo.value.null_dim == 5
+
+
+# Weak decay 1 -> 0 beside strong dephasing: the population block's non-zero
+# singular value (2 sqrt(2) 1e-5) is below null_tol times the largest one,
+# which lies in a coherence block, so the null space counts as two-dimensional.
+WEAK_DECAY_STRONG_DEPHASING = LindbladModel(
+    OperatorMatrix(np.zeros((2, 2))),
+    (OperatorMatrix(np.sqrt(1e-5) * np.array([[0.0, 1.0], [0.0, 0.0]])),
+     OperatorMatrix(np.diag([0.0, np.sqrt(1e6)]))),
+)
+
+
+@pytest.mark.parametrize("model, null_dim", [
+    (LindbladModel(OperatorMatrix(np.zeros((5, 5))), (number(5),)), 5),
+    (limit_cycle_lindblad(LimitCycleParams(1.0, 0.0, 1.0), 12), 2),
+    (WEAK_DECAY_STRONG_DEPHASING, 2),
+], ids=["dephasing", "limit-cycle-zero-gain", "scale-from-another-sector"])
+def test_stationary_degeneracy_matches_svd_oracle(model, null_dim):
+    with pytest.raises(DegenerateStationaryState) as oracle:
+        svd_stationary(model)
+    with pytest.raises(DegenerateStationaryState) as excinfo:
+        stationary(model)
+    assert excinfo.value.null_dim == oracle.value.null_dim == null_dim
+
+
+SECTOR_CASES = {
+    "limit-cycle-d12": (lambda: limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), 12), 2 * 12 - 1),
+    "limit-cycle-d30": (lambda: limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), 30), 2 * 30 - 1),
+    "oscillator-d12": (lambda: oscillator_lindblad(OscillatorParams(1.0, 0.1), 12), 2),
+    "spin-l5": (lambda: rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=5)), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SECTOR_CASES))
+def test_stationary_matches_svd_oracle(case):
+    build, n_sectors = SECTOR_CASES[case]
+    model = build()
+    assert len(liouvillian_sectors(model)) == n_sectors
+    assert np.max(np.abs(stationary(model).mat - svd_stationary(model).mat)) <= 1e-12
+
+
+def test_limit_cycle_sectors_are_diagonals():
+    d = 12
+    sectors = liouvillian_sectors(limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), d))
+    cols, rows = np.divmod(np.arange(d * d), d)
+    shifts = [set(rows[positions] - cols[positions]) for positions in sectors]
+    assert all(len(shift) == 1 for shift in shifts)
+    assert sorted(shift.pop() for shift in shifts) == list(range(-(d - 1), d))
+
+
+@pytest.mark.parametrize("case", sorted(SECTOR_CASES))
+def test_liouvillian_blocks_cover_generator(case):
+    model = SECTOR_CASES[case][0]()
+    gen = liouvillian_matrix(model)
+    sectors = liouvillian_sectors(model)
+    assert sorted(np.concatenate(sectors)) == list(range(model.dim**2))
+    off_block = gen.copy()
+    for positions in sectors:
+        block = liouvillian_matrix(model, positions)
+        assert np.max(np.abs(block - gen[np.ix_(positions, positions)])) <= 1e-12
+        off_block[np.ix_(positions, positions)] = 0.0
+    assert not np.any(off_block)
+
+
+def test_stationary_limit_cycle_d80():
+    # out of reach of one full SVD of the 6400 x 6400 generator
+    state = stationary(limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), 80))
+    poisson = recurrence_stationary(1.0, 80)[:80]
+    assert np.max(np.abs(np.diag(state.mat).real - poisson)) <= 1e-8
+    assert not np.any(state.mat - np.diag(np.diag(state.mat)))
 
 
 def test_liouvillian_matrix_matches_rhs():
