@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -100,9 +101,30 @@ _MODELS = {
     ),
 }
 
+
+def _integer(value) -> int:
+    """An integer config value: a JSON integer, or a number with no
+    fractional part such as 12.0.  Booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _complex_pair(value) -> list:
+    """A complex config value as [re, im]: exactly two finite real numbers."""
+    if not (
+        isinstance(value, list) and len(value) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in value)
+    ):
+        raise ValueError(f"expected [re, im], two finite real numbers, got {value!r}")
+    return list(value)
+
+
 # numerics read by the FAQ check of the oscillator, limit-cycle and rotators runs
 _FAQ_CHECK = {
-    "faq_points": (False, 100, int),
+    "faq_points": (False, 100, _integer),
     "faq_tol": (False, 1e-12, float),
 }
 
@@ -112,11 +134,11 @@ _SCHEMAS = {
     "oscillator": {
         "params": _MODELS["oscillator"].block,
         "numerics": {
-            "dim": (True, None, int),
+            "dim": (True, None, _integer),
             "evolve.dt": (True, None, float),
             "t_end": (True, None, float),
-            "alpha": (False, [2.0, 0.0], list),
-            "sample_every": (False, 0, int),
+            "alpha": (False, [2.0, 0.0], _complex_pair),
+            "sample_every": (False, 0, _integer),
             "validate.pos_tol": (False, 1e-8, float),
             **_FAQ_CHECK,
         },
@@ -124,8 +146,8 @@ _SCHEMAS = {
     "limit-cycle": {
         "params": _MODELS["limit-cycle"].block,
         "numerics": {
-            "dim": (True, None, int),
-            "n_max": (True, None, int),
+            "dim": (True, None, _integer),
+            "n_max": (True, None, _integer),
             "stationary.null_tol": (False, 1e-10, float),
             "validate.pos_tol": (False, 1e-8, float),
             **_FAQ_CHECK,
@@ -144,14 +166,14 @@ _SCHEMAS = {
         "numerics": {
             "dt": (True, None, float),
             "t_end": (True, None, float),
-            "record_every": (False, 1, int),
+            "record_every": (False, 1, _integer),
             "initial": (True, None, list),
         },
     },
     "conformance": {
         "params": _MODELS["rotators"].block,
         "numerics": {
-            "n_samples": (False, 50, int),
+            "n_samples": (False, 50, _integer),
             "tol": (False, 1e-10, float),
         },
     },
@@ -232,7 +254,7 @@ def validate_config(config: dict) -> list[str]:
     schema = _schema(experiment, config.get("params"))
     if "seed" not in config:
         problems.append("missing key: seed")
-    elif not isinstance(config["seed"], int):
+    elif isinstance(config["seed"], bool) or not isinstance(config["seed"], int):
         problems.append("seed must be an integer")
     allowed_top = {"experiment", "seed", "output_dir", "params", "numerics", "sweep"}
     for key in config:

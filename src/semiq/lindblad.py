@@ -10,6 +10,16 @@ textbooks: a single channel R = a empties a level at rate 2, not 1.  All
 closed-form rates in this package (oscillator decay, rotator moment
 equations) assume this normalization; divide channel rates by sqrt(2) to
 convert a conventional model.
+
+Every use of the generator goes through the effective Hamiltonian
+K = -i H - sum_j R_j+ R_j, built once per model:
+
+    d rho/dt = K rho + rho K+ + 2 sum_j (R_j rho) R_j+.
+
+This form is linear on every operator and serves lindblad_rhs and the
+stationary residual.  Time evolution uses M + M+ with
+M = K rho + sum_j (R_j rho) R_j+, which equals the generator on a Hermitian
+rho in one product fewer per channel and is Hermitian to the last bit.
 """
 
 from __future__ import annotations
@@ -81,7 +91,7 @@ class DensityMatrix:
         return self.op.basis
 
     def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
+        return _trace_product(self.mat, self.mat).real
 
     @classmethod
     def pure_state(cls, vector, basis=None) -> "DensityMatrix":
@@ -130,21 +140,34 @@ class LindbladModel:
         for j, channel in enumerate(channels):
             if channel.dim != self.h.dim:
                 raise ValueError(f"channel {j} dimension does not match H")
-        object.__setattr__(
-            self, "_channel_data",
-            tuple((r.mat, r.mat.conj().T, r.mat.conj().T @ r.mat) for r in channels),
-        )
+        channel_data = tuple((r.mat, r.mat.conj().T) for r in channels)
+        k = -1j * self.h.mat
+        for r, r_dag in channel_data:
+            k = k - r_dag @ r
+        object.__setattr__(self, "_channel_data", channel_data)
+        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_k_dag", k.conj().T)
 
     @property
     def dim(self) -> int:
         return self.h.dim
 
     def _rhs_mat(self, rho: np.ndarray) -> np.ndarray:
-        h = self.h.mat
-        out = -1j * (h @ rho - rho @ h)
-        for r, r_dag, rdr in self._channel_data:
-            out += 2.0 * (r @ rho @ r_dag) - rdr @ rho - rho @ rdr
+        """K rho + rho K+ + 2 sum_j (R_j rho) R_j+: linear on any operator,
+        2 + 2 matrix products per channel."""
+        out = self._k @ rho + rho @ self._k_dag
+        for r, r_dag in self._channel_data:
+            out += 2.0 * ((r @ rho) @ r_dag)
         return out
+
+    def _rhs_hermitian(self, rho: np.ndarray) -> np.ndarray:
+        """M + M+ with M = K rho + sum_j (R_j rho) R_j+, 1 + 2 matrix products
+        per channel.  Equals _rhs_mat only on a Hermitian rho, and the result
+        is exactly Hermitian whatever the rounding in M."""
+        m = self._k @ rho
+        for r, r_dag in self._channel_data:
+            m += (r @ rho) @ r_dag
+        return m + m.conj().T
 
 
 def lindblad_rhs(model: LindbladModel, rho: OperatorMatrix | DensityMatrix) -> OperatorMatrix:
@@ -193,7 +216,9 @@ def evolve(
         if op.dim != model.dim:
             raise ValueError(f"observable {name!r} dimension mismatch")
 
-    rho = rho0.mat.copy()
+    # RK4 combines stages element-wise with real weights, so a Hermitian
+    # start keeps every stage exactly Hermitian, as _rhs_hermitian requires.
+    rho = (rho0.mat + rho0.mat.conj().T) / 2.0
     times = [0.0]
     samples: dict[str, list[complex]] = {name: [] for name in observables}
     max_trace_dev = 0.0
@@ -203,7 +228,7 @@ def evolve(
     def record(t: float, mat: np.ndarray):
         nonlocal max_trace_dev, max_herm_dev, min_eig_seen
         for name, op in observables.items():
-            samples[name].append(complex(np.trace(mat @ op.mat)))
+            samples[name].append(_trace_product(mat, op.mat))
         max_trace_dev = max(max_trace_dev, abs(np.trace(mat) - 1.0))
         max_herm_dev = max(max_herm_dev, float(np.max(np.abs(mat - mat.conj().T))))
         min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
@@ -216,7 +241,7 @@ def evolve(
     record(0.0, rho)
 
     def field(_t, mat):
-        return model._rhs_mat(mat)
+        return model._rhs_hermitian(mat)
 
     for step in range(1, n_steps + 1):
         rho = rk4_step(field, (step - 1) * dt, rho, dt)
@@ -237,14 +262,6 @@ def evolve(
     )
 
 
-def _effective_hamiltonian(model: LindbladModel) -> np.ndarray:
-    """K = -i H - sum_j R_j+ R_j, so that the generator is K rho + rho K+ + 2 sum_j R_j rho R_j+."""
-    k = -1j * model.h.mat
-    for _r, _r_dag, rdr in model._channel_data:
-        k = k - rdr
-    return k
-
-
 def liouvillian_sectors(model: LindbladModel) -> list[np.ndarray]:
     """Column-stacked positions of each sector of the vectorized generator.
 
@@ -257,13 +274,13 @@ def liouvillian_sectors(model: LindbladModel) -> list[np.ndarray]:
     """
     d = model.dim
     index = np.arange(d)
-    k_rows, k_cols = np.nonzero(_effective_hamiltonian(model))
+    k_rows, k_cols = np.nonzero(model._k)
     # K rho joins (i, j) to (k, j) where K_ki != 0; rho K+ joins (i, j) to
     # (i, l) where K_lj != 0; R rho R+ joins (i, j) to (k, l) where R_ki and
     # R_lj are both non-zero.
     src = [(k_cols[:, None] + d * index).ravel(), (index[:, None] + d * k_cols).ravel()]
     dst = [(k_rows[:, None] + d * index).ravel(), (index[:, None] + d * k_rows).ravel()]
-    for r, _r_dag, _rdr in model._channel_data:
+    for r, _r_dag in model._channel_data:
         rows, cols = np.nonzero(r)
         src.append((cols[:, None] + d * cols).ravel())
         dst.append((rows[:, None] + d * rows).ravel())
@@ -301,10 +318,9 @@ def liouvillian_matrix(model: LindbladModel, positions: np.ndarray | None = None
     def entries(op, index):  # op[index[a], index[b]]; two takes beat one fancy index
         return op.take(index, 0).take(index, 1)
 
-    k = _effective_hamiltonian(model)
-    out = entries(k, rows) * (cols[:, None] == cols)
-    out += (rows[:, None] == rows) * entries(k.conj(), cols)
-    for r, _r_dag, _rdr in model._channel_data:
+    out = entries(model._k, rows) * (cols[:, None] == cols)
+    out += (rows[:, None] == rows) * entries(model._k.conj(), cols)
+    for r, _r_dag in model._channel_data:
         out += entries(r, rows) * entries(2.0 * r.conj(), cols)
     return out
 
@@ -366,7 +382,12 @@ def expectation(rho: DensityMatrix | OperatorMatrix, observable: OperatorMatrix)
     mat = rho.mat
     if mat.shape[0] != observable.dim:
         raise ValueError("dimension mismatch in expectation")
-    return complex(np.trace(mat @ observable.mat))
+    return _trace_product(mat, observable.mat)
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
+    """tr(a b) as sum_ij a_ij b_ji, in O(dim^2) instead of a matrix product."""
+    return complex(a.ravel() @ b.ravel(order="F"))
 
 
 def adjoint_generator(observable: OperatorMatrix, model: LindbladModel) -> OperatorMatrix:
@@ -381,7 +402,7 @@ def adjoint_generator(observable: OperatorMatrix, model: LindbladModel) -> Opera
     a = observable.mat
     h = model.h.mat
     out = -1j * (a @ h - h @ a)
-    for r, r_dag, _rdr in model._channel_data:
+    for r, r_dag in model._channel_data:
         out += r_dag @ (a @ r - r @ a) + (r_dag @ a - a @ r_dag) @ r
     return OperatorMatrix(out, observable.basis if observable.basis == model.h.basis else None)
 

@@ -105,6 +105,20 @@ def newton_closure(n_excitations: float) -> MomentState:
     raise RuntimeError("closure Newton iteration did not converge")
 
 
+def commutator_rhs(model, rho):
+    """Oracle for the generator: the commutators expanded,
+    -i [H, rho] + sum_j (2 R_j rho R_j+ - R_j+ R_j rho - rho R_j+ R_j),
+    with no use of the effective Hamiltonian."""
+    h = model.h.mat
+    out = -1j * (h @ rho - rho @ h)
+    for channel in model.channels:
+        r = channel.mat
+        r_dag = r.conj().T
+        rdr = r_dag @ r
+        out += 2.0 * (r @ rho @ r_dag) - rdr @ rho - rho @ rdr
+    return out
+
+
 def svd_stationary(model, null_tol=1e-10, residual_tol=1e-10, pos_tol=POSITIVITY_TOL):
     """Oracle for lindblad.stationary: one full SVD of the whole dim^2 x dim^2
     generator, with no use of its sectors.  Same null-space rule and checks."""

@@ -29,6 +29,17 @@ def limit_cycle_config(**overrides):
     return config
 
 
+def oscillator_config(**overrides):
+    config = {
+        "experiment": "oscillator",
+        "seed": 11,
+        "params": {"omega0": 1.0, "lambda": 0.1},
+        "numerics": {"dim": 8, "evolve.dt": 0.01, "t_end": 0.1},
+    }
+    config.update(overrides)
+    return config
+
+
 def run_dir_of(output_root):
     dirs = [d for d in output_root.iterdir() if d.is_dir()]
     assert len(dirs) == 1
@@ -174,6 +185,12 @@ def limit_cycle_with(section, key, value):
     return config
 
 
+def oscillator_with(key, value):
+    config = oscillator_config()
+    config["numerics"][key] = value
+    return config
+
+
 @pytest.mark.parametrize("config, named", [
     (limit_cycle_with("numerics", "dim", None), "numerics.dim"),
     (limit_cycle_with("numerics", "stationary.null_tol", None), "numerics.stationary.null_tol"),
@@ -182,8 +199,18 @@ def limit_cycle_with(section, key, value):
     (limit_cycle_config(sweep={"params.lambda": ["x"]}), "params.lambda[0]"),
     (limit_cycle_config(sweep={"numerics.dim": [12, [16]]}), "numerics.dim[1]"),
     (limit_cycle_with("numerics", "n_max", "many"), "numerics.n_max"),
+    (limit_cycle_with("numerics", "dim", 16.9), "numerics.dim"),
+    (limit_cycle_with("numerics", "dim", True), "numerics.dim"),
+    (limit_cycle_config(sweep={"numerics.n_max": [30, 30.5]}), "numerics.n_max[1]"),
+    (limit_cycle_config(seed=True), "seed"),
+    (oscillator_with("sample_every", 2.5), "numerics.sample_every"),
+    (oscillator_with("alpha", [1.0, 0.0, 0.0]), "numerics.alpha"),
+    (oscillator_with("alpha", ["1", 0.0]), "numerics.alpha"),
+    (oscillator_config(sweep={"numerics.alpha": [[1.0]]}), "numerics.alpha[0]"),
 ], ids=["null-required", "null-optional", "null-param", "null-sweep-value",
-        "sweep-not-a-number", "sweep-list-for-int", "not-an-int"])
+        "sweep-not-a-number", "sweep-list-for-int", "not-an-int", "fractional-int", "bool-for-int",
+        "sweep-fractional-int", "bool-seed", "fractional-sample-every", "alpha-three-numbers",
+        "alpha-string", "sweep-alpha-one-number"])
 def test_bad_value_rejected_before_run(tmp_path, capsys, config, named):
     assert_rejected_before_run(tmp_path, capsys, config, named)
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import random_density_operator, random_hermitian, random_operator, svd_stationary
+from helpers import (
+    commutator_rhs,
+    random_density,
+    random_density_operator,
+    random_hermitian,
+    random_operator,
+    svd_stationary,
+)
 from semiq import (
     DegenerateStationaryState,
     DensityMatrix,
@@ -69,6 +76,38 @@ def test_rhs_is_traceless_and_hermiticity_preserving():
         assert np.max(np.abs(out - out.conj().T)) <= 1e-12
 
 
+def two_channel_model(dim):
+    rng = np.random.default_rng(34)
+    return LindbladModel(
+        random_hermitian(rng, dim), (random_operator(rng, dim, 0.5), random_operator(rng, dim, 0.3))
+    )
+
+
+RHS_CASES = {
+    "oscillator-d40": lambda: oscillator_lindblad(OscillatorParams(1.0, 0.1, 0.2), 40),
+    "oscillator-d80": lambda: oscillator_lindblad(OscillatorParams(1.0, 0.1, 0.2), 80),
+    "limit-cycle-d30": lambda: limit_cycle_lindblad(LimitCycleParams(1.0, 0.7, 0.4), 30),
+    "spin-l4": lambda: rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=4)),
+    "random-two-channel-d12": lambda: two_channel_model(12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RHS_CASES))
+def test_rhs_forms_match_commutator_oracle(case):
+    model = RHS_CASES[case]()
+    rng = np.random.default_rng(35)
+    for _ in range(3):
+        rho = random_density_operator(rng, model.dim).mat
+        expected = commutator_rhs(model, rho)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(model._rhs_mat(rho) - expected)) <= 1e-12 * scale
+        assert np.max(np.abs(model._rhs_hermitian(rho) - expected)) <= 1e-12 * scale
+        # the general form stays linear off the Hermitian operators
+        op = random_operator(rng, model.dim).mat
+        expected = commutator_rhs(model, op)
+        assert np.max(np.abs(model._rhs_mat(op) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_rhs_dimension_mismatch():
     with pytest.raises(ValueError):
         lindblad_rhs(decay_model(4), DensityMatrix.fock_state(5, 0))
@@ -85,6 +124,16 @@ def test_unitary_evolution_conserves_purity():
     assert result.max_trace_deviation <= 1e-8
     assert result.max_hermiticity_deviation <= 1e-10
     assert result.min_eigenvalue >= -1e-8
+
+
+def test_evolve_stays_exactly_hermitian():
+    """Every RK4 stage of the oscillator run is Hermitian to the last bit; a
+    right-hand side that lets rounding feed the anti-Hermitian part fails."""
+    model = oscillator_lindblad(OscillatorParams(1.0, 0.1, 0.2), 20)
+    result = evolve(model, DensityMatrix.coherent_state(20, 1.5 + 0.5j), 2.5, 1e-3, sample_every=50)
+    assert len(result.times) == 2500 // 50 + 1
+    assert result.max_hermiticity_deviation == 0.0
+    assert result.max_trace_deviation <= 1e-12
 
 
 def test_decay_rate_convention():
@@ -265,6 +314,21 @@ def test_expectation_examples():
     poisson = recurrence_stationary(1.0, 30)
     rho_poisson = DensityMatrix(OperatorMatrix(np.diag(poisson.astype(complex))))
     assert expectation(rho_poisson, number(31)).real == pytest.approx(1.0, abs=1e-8)
+
+
+def test_expectation_and_purity_match_trace():
+    rng = np.random.default_rng(36)
+    for dim in (1, 7, 40):
+        rho = random_density(rng, dim)
+        op = random_operator(rng, dim)
+        assert abs(expectation(rho, op) - np.trace(rho.mat @ op.mat)) <= 1e-13
+        assert abs(rho.purity() - np.trace(rho.mat @ rho.mat).real) <= 1e-13
+    # evolve samples through the same sum
+    op = random_operator(rng, 12)
+    model = oscillator_lindblad(OscillatorParams(1.0, 0.1, 0.2), 12)
+    result = evolve(model, DensityMatrix.coherent_state(12, 0.8), 0.01, 1e-3, observables={"x": op})
+    assert result.expectations["x"][-1] == expectation(result.final, op)
+    assert abs(result.expectations["x"][-1] - np.trace(result.final.mat @ op.mat)) <= 1e-13
 
 
 def test_expectation_dimension_mismatch():

@@ -19,6 +19,7 @@ from semiq import (
 )
 from semiq.models import (
     MomentState,
+    _cross,
     RotatorParams,
     SpinPolynomial,
     classical_spin_flow,
@@ -146,6 +147,15 @@ def test_spin_flow_field_closed_form():
         velocity = -np.cross(l, grad_h) - 2.0 * (r_val * np.cross(l, grad_r.conjugate())).imag
         expected = np.array([4 * lam * l[1] ** 2, -4 * lam * l[0] * l[1], 0.0])
         assert np.max(np.abs(velocity - expected)) <= 1e-12
+
+
+def test_cross_product_matches_numpy():
+    rng = np.random.default_rng(66)
+    for _ in range(20):
+        u = rng.uniform(-1, 1, size=3)
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        assert np.max(np.abs(_cross(u, v) - np.cross(u, v))) <= 1e-15
+        assert np.max(np.abs(_cross(u, v.real) - np.cross(u, v.real))) <= 1e-15
 
 
 def test_spin_flow_synchronizes():
