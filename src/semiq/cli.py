@@ -77,7 +77,7 @@ class _Model:
 
     @property
     def block(self) -> dict:
-        return {key: (default is None, default, float) for key, (_name, default) in self.keys.items()}
+        return {key: (default is None, default, _real) for key, (_name, default) in self.keys.items()}
 
     def build(self, p: dict):
         return self.params(**{name: p[key] for key, (name, _default) in self.keys.items()})
@@ -112,20 +112,33 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A real config value: a finite JSON number.  Booleans, strings and the
+    non-standard NaN and Infinity are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite real number, got {value!r}")
+    return number
+
+
 def _complex_pair(value) -> list:
     """A complex config value as [re, im]: exactly two finite real numbers."""
-    if not (
-        isinstance(value, list) and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in value)
-    ):
+    if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"expected [re, im], two finite real numbers, got {value!r}")
+    for part in value:
+        _real(part)
     return list(value)
 
 
 # numerics read by the FAQ check of the oscillator, limit-cycle and rotators runs
 _FAQ_CHECK = {
     "faq_points": (False, 100, _integer),
-    "faq_tol": (False, 1e-12, float),
+    "faq_tol": (False, 1e-12, _real),
 }
 
 # key -> (required, default, caster); classical-flow adds the block of the
@@ -135,11 +148,11 @@ _SCHEMAS = {
         "params": _MODELS["oscillator"].block,
         "numerics": {
             "dim": (True, None, _integer),
-            "evolve.dt": (True, None, float),
-            "t_end": (True, None, float),
+            "evolve.dt": (True, None, _real),
+            "t_end": (True, None, _real),
             "alpha": (False, [2.0, 0.0], _complex_pair),
             "sample_every": (False, 0, _integer),
-            "validate.pos_tol": (False, 1e-8, float),
+            "validate.pos_tol": (False, 1e-8, _real),
             **_FAQ_CHECK,
         },
     },
@@ -148,24 +161,24 @@ _SCHEMAS = {
         "numerics": {
             "dim": (True, None, _integer),
             "n_max": (True, None, _integer),
-            "stationary.null_tol": (False, 1e-10, float),
-            "validate.pos_tol": (False, 1e-8, float),
+            "stationary.null_tol": (False, 1e-10, _real),
+            "validate.pos_tol": (False, 1e-8, _real),
             **_FAQ_CHECK,
         },
     },
     "rotators": {
         "params": _MODELS["rotators"].block,
         "numerics": {
-            "stationary.null_tol": (False, 1e-10, float),
-            "validate.pos_tol": (False, 1e-8, float),
+            "stationary.null_tol": (False, 1e-10, _real),
+            "validate.pos_tol": (False, 1e-8, _real),
             **_FAQ_CHECK,
         },
     },
     "classical-flow": {
         "params": {"model": (True, None, str)},
         "numerics": {
-            "dt": (True, None, float),
-            "t_end": (True, None, float),
+            "dt": (True, None, _real),
+            "t_end": (True, None, _real),
             "record_every": (False, 1, _integer),
             "initial": (True, None, list),
         },
@@ -174,7 +187,7 @@ _SCHEMAS = {
         "params": _MODELS["rotators"].block,
         "numerics": {
             "n_samples": (False, 50, _integer),
-            "tol": (False, 1e-10, float),
+            "tol": (False, 1e-10, _real),
         },
     },
 }
@@ -210,6 +223,41 @@ def _flow_problems(params, numerics) -> list[str]:
             problems.append(f"numerics.initial[{i}] must be a list of [re, im] pairs")
         elif len(point) != modes:
             problems.append(f"numerics.initial[{i}] has {len(point)} modes; model {name} needs {modes}")
+    return problems
+
+
+# experiment -> the numerics key of its time step; these runs take
+# round(t_end / dt) steps (integrate._step_count)
+_TIME_STEPS = {"oscillator": "evolve.dt", "classical-flow": "dt"}
+
+
+def _grid_problems(experiment: str, numerics, sweep) -> list[str]:
+    """Time grids, swept values included, that do not end at t_end: a step
+    that is not positive, a negative t_end, or a t_end that is not a whole
+    number of steps to 1e-9 relative."""
+    dt_key = _TIME_STEPS.get(experiment)
+    if dt_key is None or not isinstance(numerics, dict):
+        return []
+
+    def values(key):
+        swept = sweep.get(f"numerics.{key}") if isinstance(sweep, dict) else None
+        try:
+            return [_real(value) for value in (swept if isinstance(swept, list) else [numerics.get(key)])]
+        except (TypeError, ValueError):
+            return []  # reported as a missing key or a bad value
+
+    t_ends, steps = values("t_end"), values(dt_key)
+    problems = [f"numerics.{dt_key} must be positive, got {dt!r}" for dt in steps if dt <= 0]
+    problems += [f"numerics.t_end must be non-negative, got {t_end!r}" for t_end in t_ends if t_end < 0]
+    for t_end, dt in product(t_ends, steps):
+        if dt <= 0 or t_end < 0:
+            continue
+        count = t_end / dt
+        if math.isinf(count) or abs(count - round(count)) > 1e-9 * count:
+            problems.append(
+                f"numerics.t_end {t_end!r} is not a whole number of numerics.{dt_key} {dt!r} steps"
+                f" ({count:.6g})"
+            )
     return problems
 
 
@@ -293,6 +341,7 @@ def validate_config(config: dict) -> list[str]:
                     cast = schema[section][key][2]
                     for i, value in enumerate(values):
                         problems.extend(_cast_problem(f"sweep {dotted}[{i}]", cast, value))
+    problems.extend(_grid_problems(experiment, config.get("numerics"), sweep))
     return problems
 
 

@@ -14,17 +14,34 @@ convert a conventional model.
 Every use of the generator goes through the effective Hamiltonian
 K = -i H - sum_j R_j+ R_j, built once per model:
 
-    d rho/dt = K rho + rho K+ + 2 sum_j (R_j rho) R_j+.
+    d rho/dt = K rho + rho K+ + 2 sum_j R_j rho R_j+.
 
 This form is linear on every operator and serves lindblad_rhs and the
 stationary residual.  Time evolution uses M + M+ with
-M = K rho + sum_j (R_j rho) R_j+, which equals the generator on a Hermitian
-rho in one product fewer per channel and is Hermitian to the last bit.
+M = K rho + sum_j R_j rho R_j+, which equals the generator on a Hermitian
+rho and is Hermitian to the last bit.
+
+Both forms are applied as a shift stencil rather than by matrix products.
+Each operator is a few non-zero diagonals, since every quantized monomial
+moves the basis index by a fixed amount.  On the row-major flat view of
+rho, diagonal k of K contributes (K rho)_ij = K_i,i+k rho_i+k,j, a read at
+flat shift k d; the same diagonal contributes to rho K+ at shift k; and
+diagonals k, l of one channel give R rho R+ at shift k d + l with weight
+v_k[i] conj(v_l[j]).  Terms with the same flat shift are summed into one
+weight, which is zero wherever the shift leaves the matrix, so a read that
+wraps to another row adds nothing.  Each of the P distinct shifts costs two
+element-wise operations on a contiguous slice, O(P d^2) in all.  The
+one-channel oscillator's Hermitian form has 4 terms and takes 30-32 us a
+call at d = 40 and 75-80 us at d = 80, against 58-64 and 274-282 us for
+the matrix products it replaced (2-core VM, numpy 2.4 with OpenBLAS).  A
+dense operator makes P ~ d^2, so the stencil suits the banded generators
+that quantized polynomials give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -146,28 +163,86 @@ class LindbladModel:
             k = k - r_dag @ r
         object.__setattr__(self, "_channel_data", channel_data)
         object.__setattr__(self, "_k", k)
-        object.__setattr__(self, "_k_dag", k.conj().T)
 
     @property
     def dim(self) -> int:
         return self.h.dim
 
+    @cached_property
+    def _general_stencil(self) -> tuple:
+        return _stencil(self, hermitian=False)
+
+    @cached_property
+    def _hermitian_stencil(self) -> tuple:
+        return _stencil(self, hermitian=True)
+
     def _rhs_mat(self, rho: np.ndarray) -> np.ndarray:
-        """K rho + rho K+ + 2 sum_j (R_j rho) R_j+: linear on any operator,
-        2 + 2 matrix products per channel."""
-        out = self._k @ rho + rho @ self._k_dag
-        for r, r_dag in self._channel_data:
-            out += 2.0 * ((r @ rho) @ r_dag)
-        return out
+        """K rho + rho K+ + 2 sum_j R_j rho R_j+: linear on any operator."""
+        return _apply_stencil(self._general_stencil, rho)
 
     def _rhs_hermitian(self, rho: np.ndarray) -> np.ndarray:
-        """M + M+ with M = K rho + sum_j (R_j rho) R_j+, 1 + 2 matrix products
-        per channel.  Equals _rhs_mat only on a Hermitian rho, and the result
-        is exactly Hermitian whatever the rounding in M."""
-        m = self._k @ rho
-        for r, r_dag in self._channel_data:
-            m += (r @ rho) @ r_dag
+        """M + M+ with M = K rho + sum_j R_j rho R_j+.  Equals _rhs_mat only
+        on a Hermitian rho, and the result is exactly Hermitian whatever the
+        rounding in M."""
+        m = _apply_stencil(self._hermitian_stencil, rho)
         return m + m.conj().T
+
+
+def _diagonals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets k of the non-zero diagonals of mat, ascending, and one row
+    v_k per offset with v_k[i] = mat[i, i + k], zero where i + k leaves the
+    matrix."""
+    rows, cols = np.nonzero(mat)
+    offsets, which = np.unique(cols - rows, return_inverse=True)
+    vectors = np.zeros((len(offsets), mat.shape[0]), dtype=complex)
+    vectors[which, rows] = mat[rows, cols]
+    return offsets, vectors
+
+
+def _stencil(model: LindbladModel, hermitian: bool) -> tuple:
+    """Shift stencil of K rho + sum_j R_j rho R_j+ (hermitian) or of
+    K rho + rho K+ + 2 sum_j R_j rho R_j+ on the row-major flat view of rho.
+
+    Returns (shift, lo, hi, weight) terms with distinct shifts; a term adds
+    weight * rho.flat[lo + shift:hi + shift] to out.flat[lo:hi], where
+    [lo, hi) spans the non-zero entries of its weight.
+    """
+    d = model.dim
+    offsets, vectors = _diagonals(model._k)
+    shifts = [offsets * d]
+    weights = [np.repeat(vectors, d, axis=1)]
+    if not hermitian:
+        shifts.append(offsets)
+        weights.append(np.tile(vectors.conj(), d))
+    for r, _r_dag in model._channel_data:
+        offsets, vectors = _diagonals(r)
+        shifts.append((offsets[:, None] * d + offsets).ravel())
+        pairs = vectors[:, None, :, None] * vectors.conj()[None, :, None, :]
+        weights.append((pairs if hermitian else 2.0 * pairs).reshape(-1, d * d))
+    shifts = np.concatenate(shifts)
+    if not len(shifts):
+        return ()
+    order = np.argsort(shifts, kind="stable")
+    shifts = shifts[order]
+    starts = np.flatnonzero(np.diff(shifts, prepend=shifts[0] - 1))
+    summed = np.add.reduceat(np.concatenate(weights)[order], starts, axis=0)
+    nonzero = summed != 0
+    keep = nonzero.any(axis=1)
+    summed, nonzero, shifts = summed[keep], nonzero[keep], shifts[starts][keep]
+    lo = nonzero.argmax(axis=1)
+    hi = d * d - nonzero[:, ::-1].argmax(axis=1)
+    return tuple(
+        (int(shift), int(a), int(b), weight[a:b])
+        for shift, a, b, weight in zip(shifts, lo, hi, summed)
+    )
+
+
+def _apply_stencil(stencil: tuple, rho: np.ndarray) -> np.ndarray:
+    flat = np.ravel(rho)
+    out = np.zeros(flat.shape, dtype=complex)
+    for shift, lo, hi, weight in stencil:
+        out[lo:hi] += weight * flat[lo + shift:hi + shift]
+    return out.reshape(rho.shape)
 
 
 def lindblad_rhs(model: LindbladModel, rho: OperatorMatrix | DensityMatrix) -> OperatorMatrix:
@@ -393,17 +468,16 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> complex:
 def adjoint_generator(observable: OperatorMatrix, model: LindbladModel) -> OperatorMatrix:
     """Heisenberg-picture rate operator.
 
-    d<A>/dt = tr(rho L+(A)) with
-    L+(A) = -i [A, H] + sum_j ( R_j+ [A, R_j] + [R_j+, A] R_j ),
-    the trace-dual of the generator used by lindblad_rhs.
+    d<A>/dt = tr(rho L+(A)) with L+(A) = K+ A + A K + 2 sum_j R_j+ A R_j,
+    the trace-dual of the generator used by lindblad_rhs; this equals
+    -i [A, H] + sum_j ( R_j+ [A, R_j] + [R_j+, A] R_j ).
     """
     if observable.dim != model.dim:
         raise ValueError("observable dimension does not match model")
     a = observable.mat
-    h = model.h.mat
-    out = -1j * (a @ h - h @ a)
+    out = model._k.conj().T @ a + a @ model._k
     for r, r_dag in model._channel_data:
-        out += r_dag @ (a @ r - r @ a) + (r_dag @ a - a @ r_dag) @ r
+        out += 2.0 * (r_dag @ a @ r)
     return OperatorMatrix(out, observable.basis if observable.basis == model.h.basis else None)
 
 

@@ -179,6 +179,12 @@ def assert_rejected_before_run(tmp_path, capsys, config, named):
     assert not out_root.exists() or not any(out_root.iterdir())
 
 
+def flow_with(key, value):
+    config = flow_config()
+    config["numerics"][key] = value
+    return config
+
+
 def limit_cycle_with(section, key, value):
     config = limit_cycle_config()
     config[section][key] = value
@@ -207,12 +213,32 @@ def oscillator_with(key, value):
     (oscillator_with("alpha", [1.0, 0.0, 0.0]), "numerics.alpha"),
     (oscillator_with("alpha", ["1", 0.0]), "numerics.alpha"),
     (oscillator_config(sweep={"numerics.alpha": [[1.0]]}), "numerics.alpha[0]"),
+    (oscillator_with("t_end", "inf"), "numerics.t_end"),
+    (limit_cycle_with("params", "lambda", "nan"), "params.lambda"),
+    (limit_cycle_with("params", "mu", True), "params.mu"),
+    (limit_cycle_config(sweep={"params.lambda": [1.0, float("nan")]}), "params.lambda[1]"),
+    (oscillator_with("evolve.dt", 0.0), "numerics.evolve.dt"),
+    (flow_with("t_end", -1.0), "numerics.t_end"),
 ], ids=["null-required", "null-optional", "null-param", "null-sweep-value",
         "sweep-not-a-number", "sweep-list-for-int", "not-an-int", "fractional-int", "bool-for-int",
         "sweep-fractional-int", "bool-seed", "fractional-sample-every", "alpha-three-numbers",
-        "alpha-string", "sweep-alpha-one-number"])
+        "alpha-string", "sweep-alpha-one-number", "inf-string", "nan-string", "bool-for-real",
+        "sweep-nan", "zero-step", "negative-t-end"])
 def test_bad_value_rejected_before_run(tmp_path, capsys, config, named):
     assert_rejected_before_run(tmp_path, capsys, config, named)
+
+
+@pytest.mark.parametrize("config, dt_key", [
+    (oscillator_with("t_end", 0.105), "numerics.evolve.dt"),
+    (oscillator_config(sweep={"numerics.evolve.dt": [0.01, 0.03]}), "numerics.evolve.dt"),
+    (flow_with("dt", 0.03), "numerics.dt"),
+], ids=["oscillator", "oscillator-swept-step", "classical-flow"])
+def test_time_grid_off_step_rejected_before_run(tmp_path, capsys, config, dt_key):
+    """A t_end that is not a whole number of steps would silently move the
+    final time to round(t_end / dt) dt."""
+    [problem] = validate_config(config)
+    assert "numerics.t_end" in problem and dt_key in problem
+    assert_rejected_before_run(tmp_path, capsys, config, dt_key)
 
 
 def test_validate_names_null_output_dir():
@@ -221,7 +247,7 @@ def test_validate_names_null_output_dir():
 
 
 def test_resolve_casts_sweep_values():
-    resolved = resolve_config(limit_cycle_config(sweep={"params.lambda": ["0.5", 1], "numerics.dim": [12.0]}))
+    resolved = resolve_config(limit_cycle_config(sweep={"params.lambda": [0.5, 1], "numerics.dim": [12.0]}))
     assert json.dumps(resolved["sweep"], sort_keys=True) == '{"numerics.dim": [12], "params.lambda": [0.5, 1.0]}'
 
 
