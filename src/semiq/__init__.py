@@ -73,6 +73,7 @@ from .models import (
     rotator_spin_channel,
     rotator_spin_hamiltonian,
     rotator_spin_model,
+    rotator_spin_operators,
     second_factorial_moment,
     spin_components,
 )

@@ -126,6 +126,14 @@ def _real(value) -> float:
     return number
 
 
+def _is_real(value) -> bool:
+    try:
+        _real(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
 def _complex_pair(value) -> list:
     """A complex config value as [re, im]: exactly two finite real numbers."""
     if not isinstance(value, list) or len(value) != 2:
@@ -217,10 +225,10 @@ def _flow_problems(params, numerics) -> list[str]:
     problems = []
     for i, point in enumerate(initial):
         if not isinstance(point, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, (int, float)) for x in pair)
+            isinstance(pair, list) and len(pair) == 2 and all(_is_real(x) for x in pair)
             for pair in point
         ):
-            problems.append(f"numerics.initial[{i}] must be a list of [re, im] pairs")
+            problems.append(f"numerics.initial[{i}] must be a list of [re, im] pairs of finite real numbers")
         elif len(point) != modes:
             problems.append(f"numerics.initial[{i}] has {len(point)} modes; model {name} needs {modes}")
     return problems
@@ -257,6 +265,37 @@ def _grid_problems(experiment: str, numerics, sweep) -> list[str]:
             problems.append(
                 f"numerics.t_end {t_end!r} is not a whole number of numerics.{dt_key} {dt!r} steps"
                 f" ({count:.6g})"
+            )
+    return problems
+
+
+def _params_problems(resolved: dict) -> list[str]:
+    """Model parameters that the model's params dataclass rejects, at every
+    point of the sweep grid over params keys, and rotators spin sizes above
+    the exact-solve limit."""
+    experiment = resolved["experiment"]
+    if experiment == "classical-flow":
+        name = resolved["params"]["model"]
+    elif experiment == "conformance":
+        name = "rotators"
+    else:
+        name = experiment
+    swept = {dotted: values for dotted, values in resolved["sweep"].items() if dotted.startswith("params.")}
+    problems = []
+    for combo in product(*swept.values()):
+        point = dict(zip(swept, combo))
+        p = {**resolved["params"], **{dotted.partition(".")[2]: value for dotted, value in point.items()}}
+        where = "bad params"
+        if point:
+            where += " at sweep point " + ", ".join(f"{dotted}={value!r}" for dotted, value in point.items())
+        try:
+            params = _MODELS[name].build(p)
+        except ValueError as exc:
+            problems.append(f"{where}: {exc}")
+            continue
+        if experiment == "rotators" and params.l > models.EXACT_SPIN_L_MAX:
+            problems.append(
+                f"{where}: params.l {params.l!r} exceeds the exact stationary solve limit l <= {models.EXACT_SPIN_L_MAX}"
             )
     return problems
 
@@ -342,6 +381,8 @@ def validate_config(config: dict) -> list[str]:
                     for i, value in enumerate(values):
                         problems.extend(_cast_problem(f"sweep {dotted}[{i}]", cast, value))
     problems.extend(_grid_problems(experiment, config.get("numerics"), sweep))
+    if not problems:
+        problems.extend(_params_problems(_resolve(config)))
     return problems
 
 
@@ -350,6 +391,12 @@ def resolve_config(config: dict) -> dict:
     problems = validate_config(config)
     if problems:
         raise ConfigError("; ".join(problems))
+    return _resolve(config)
+
+
+def _resolve(config: dict) -> dict:
+    """The config with every default filled in and every value cast; its
+    keys and values must already have passed validate_config's checks."""
     experiment = config["experiment"]
     schema = _schema(experiment, config.get("params"))
     resolved = {

@@ -345,7 +345,12 @@ def liouvillian_sectors(model: LindbladModel) -> list[np.ndarray]:
     matrix; the generator is block diagonal over the sectors.  Positions
     are ascending within a sector and sectors are ordered by their first
     position.  A number-covariant model such as the limit cycle splits
-    into the 2 dim - 1 diagonals i - j = s of rho.
+    into the 2 dim - 1 diagonals i - j = s of rho.  A model whose H moves
+    the basis index by even amounts only, and each of whose channels moves
+    it by amounts of one parity, splits at least into i - j even and i - j
+    odd: the oscillator, and the spin rotator model at delta = 0.  A
+    symmetry shows only when the basis makes it visible in the sparsity
+    pattern.
     """
     d = model.dim
     index = np.arange(d)
@@ -408,28 +413,59 @@ def stationary(
 ) -> DensityMatrix:
     """Unique stationary state from the null space of the vectorized generator.
 
-    Each sector block of the generator (liouvillian_sectors) gets a full SVD;
-    the singular values of the whole generator are the union over the
-    blocks.  Singular values at or below null_tol relative to the largest
-    count as null directions.  A null space of dimension other than one
-    raises DegenerateStationaryState with the computed dimension.  The null
-    vector is Hermitized, trace-normalized and validated (residual below
-    residual_tol, eigenvalues above -pos_tol).
+    The generator is solved per sector (liouvillian_sectors).  Since
+    tr L(rho) = 0, the trace functional is a left null vector of every
+    sector block that holds diagonal positions of rho; replacing one of its
+    diagonal rows by the trace functional gives a bordered block B whose
+    solution with unit right-hand side in that row is the unit-trace null
+    vector.  A rank-one change moves each singular value at most one place,
+    so sigma_2(block) >= sigma_min(B) >= 1 / ||B^-1||_F; a sector without
+    diagonal positions bounds sigma_min of its plain block the same way.
+    When exactly one sector holds diagonal positions and every bound lies
+    above null_tol times the largest singular value (bounded above by the
+    largest Frobenius norm of a block), the null space is one-dimensional
+    and no SVD is taken.  Otherwise the singular values of every block are
+    computed and counted as for one SVD of the whole generator: those at or
+    below null_tol relative to the largest count as null directions, and a
+    null space of dimension other than one raises DegenerateStationaryState
+    with that dimension.  The null vector is Hermitized, trace-normalized and
+    validated (residual below residual_tol, eigenvalues above -pos_tol).
     """
     d = model.dim
-    solves = []
-    for positions in liouvillian_sectors(model):
-        _u, s, vh = np.linalg.svd(liouvillian_matrix(model, positions))
-        solves.append((positions, s, vh[-1]))
-    scale = max(s[0] for _positions, s, _v in solves)
-    scale = scale if scale > 0 else 1.0
-    null_counts = [int(np.sum(s <= null_tol * scale)) for _positions, s, _v in solves]
-    null_dim = sum(null_counts)
-    if null_dim != 1:
-        raise DegenerateStationaryState(null_dim)
-    positions, _s, null = solves[null_counts.index(1)]
+    sectors = liouvillian_sectors(model)
+    norm_bound = 0.0  # largest ||block||_F, at least the largest singular value
+    gap_bounds = []  # per sector, 1 / ||B^-1||_F, or 0.0 where B is singular
+    traced = []  # (positions, null vector) of each sector with diagonal positions
+    for positions in sectors:
+        block = liouvillian_matrix(model, positions)
+        norm_bound = max(norm_bound, float(np.linalg.norm(block)))
+        diagonal = np.flatnonzero(positions % (d + 1) == 0)
+        if diagonal.size:
+            row = diagonal[0]
+            block[row] = 0.0
+            block[row, diagonal] = 1.0
+        try:
+            inverse = np.linalg.inv(block)
+        except np.linalg.LinAlgError:
+            gap_bounds.append(0.0)
+            continue
+        gap_bounds.append(1.0 / float(np.linalg.norm(inverse)))
+        if diagonal.size:
+            traced.append((positions, inverse[:, row].copy()))
+
+    threshold = null_tol * (norm_bound if norm_bound > 0 else 1.0)
+    if len(traced) != 1 or not all(bound > threshold for bound in gap_bounds):
+        values = [np.linalg.svd(liouvillian_matrix(model, positions), compute_uv=False) for positions in sectors]
+        scale = max(s[0] for s in values)
+        scale = scale if scale > 0 else 1.0
+        null_dim = sum(int(np.sum(s <= null_tol * scale)) for s in values)
+        if null_dim != 1:
+            raise DegenerateStationaryState(null_dim)
+        if len(traced) != 1:
+            raise NumericalFailure("bordered stationary block is singular")
+    positions, null = traced[0]
     vector = np.zeros(d * d, dtype=complex)
-    vector[positions] = null.conj()
+    vector[positions] = null
     candidate = vector.reshape((d, d), order="F")
     candidate = (candidate + candidate.conj().T) / 2.0
     trace = np.trace(candidate).real

@@ -16,7 +16,6 @@ from semiq import (
     FockSpace,
     DensityMatrix,
     Polynomial,
-    SpinRep,
     adjoint_generator,
     adjoint_rate,
     annihilation,
@@ -31,7 +30,6 @@ from semiq import (
     phase_divergence,
     poisson_bracket,
     sample_phase_points,
-    spin_operators,
     stationary,
     verify_faq,
     weyl_quantize,
@@ -61,6 +59,7 @@ from semiq.models import (
     rotator_spin_channel,
     rotator_spin_hamiltonian,
     rotator_spin_model,
+    rotator_spin_operators,
     spin_components,
 )
 
@@ -261,7 +260,7 @@ def test_c09_spin_identity_and_duality():
     worst_identity = 0.0
     for l in range(1, 11):
         model = rotator_spin_model(RotatorParams(1.0, 1.0, lam, l=l))
-        _lx, _ly, lz = spin_operators(SpinRep(l))
+        _lx, _ly, lz = rotator_spin_operators(l)
         gap = adjoint_generator(lz, model).mat + lam * lz.mat
         worst_identity = max(worst_identity, float(np.max(np.abs(gap))))
     rng = np.random.default_rng(1009)
@@ -297,7 +296,7 @@ def test_c11_exact_stationary_spin_states():
         model = rotator_spin_model(RotatorParams(1.0, 1.0, lam, l=l))
         state = stationary(model)
         residual = np.max(np.abs(lindblad_rhs(model, state).mat))
-        _lx, _ly, lz = spin_operators(SpinRep(l))
+        _lx, _ly, lz = rotator_spin_operators(l)
         ok = ok and residual <= 1e-10
         ok = ok and abs(expectation(state, lz)) <= 1e-9
     params = RotatorParams(1.0, 1.0, lam, l=15)

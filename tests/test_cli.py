@@ -7,7 +7,7 @@ import pytest
 
 from semiq import cli
 from semiq.cli import _config_hash, main, resolve_config, validate_config
-from semiq.models import ly2_analytic
+from semiq.models import EXACT_SPIN_L_MAX, ly2_analytic
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -38,6 +38,15 @@ def oscillator_config(**overrides):
     }
     config.update(overrides)
     return config
+
+
+def rotators_config(experiment="rotators", **params):
+    return {
+        "experiment": experiment,
+        "seed": 4,
+        "params": {"omega1": 1.0, "omega2": 1.0, "lambda": 0.3, "l": 3, **params},
+        "numerics": {},
+    }
 
 
 def run_dir_of(output_root):
@@ -219,11 +228,22 @@ def oscillator_with(key, value):
     (limit_cycle_config(sweep={"params.lambda": [1.0, float("nan")]}), "params.lambda[1]"),
     (oscillator_with("evolve.dt", 0.0), "numerics.evolve.dt"),
     (flow_with("t_end", -1.0), "numerics.t_end"),
+    (flow_config(initial=[[[float("nan"), 0.0]]]), "numerics.initial[0]"),
+    (flow_config(initial=[[[0.1, 0.0]], [[True, 0.0]]]), "numerics.initial[1]"),
+    (rotators_config(l=0.5), "spin l must be at least 1"),
+    (rotators_config(l=10.3), "2l must be integral"),
+    (rotators_config(**{"lambda": -0.3}), "lam must be positive"),
+    (rotators_config(l=EXACT_SPIN_L_MAX + 1), "exact stationary solve limit"),
+    (rotators_config("conformance", l=0.5), "spin l must be at least 1"),
+    (limit_cycle_with("params", "mu", 0), "mu must be positive"),
+    (limit_cycle_config(sweep={"params.mu": [1.0, 0.0]}), "params.mu=0.0"),
 ], ids=["null-required", "null-optional", "null-param", "null-sweep-value",
         "sweep-not-a-number", "sweep-list-for-int", "not-an-int", "fractional-int", "bool-for-int",
         "sweep-fractional-int", "bool-seed", "fractional-sample-every", "alpha-three-numbers",
         "alpha-string", "sweep-alpha-one-number", "inf-string", "nan-string", "bool-for-real",
-        "sweep-nan", "zero-step", "negative-t-end"])
+        "sweep-nan", "zero-step", "negative-t-end", "nan-initial", "bool-initial",
+        "rotators-half-spin", "rotators-fractional-2l", "rotators-negative-lambda",
+        "rotators-above-limit", "conformance-half-spin", "limit-cycle-zero-mu", "sweep-zero-mu"])
 def test_bad_value_rejected_before_run(tmp_path, capsys, config, named):
     assert_rejected_before_run(tmp_path, capsys, config, named)
 
@@ -239,6 +259,10 @@ def test_time_grid_off_step_rejected_before_run(tmp_path, capsys, config, dt_key
     [problem] = validate_config(config)
     assert "numerics.t_end" in problem and dt_key in problem
     assert_rejected_before_run(tmp_path, capsys, config, dt_key)
+
+
+def test_rotators_limit_is_the_exact_solve_limit():
+    assert validate_config(rotators_config(l=EXACT_SPIN_L_MAX)) == []
 
 
 def test_validate_names_null_output_dir():

@@ -16,7 +16,6 @@ from semiq import (
     LindbladModel,
     OperatorMatrix,
     PositivityViolation,
-    SpinRep,
     adjoint_generator,
     adjoint_rate,
     annihilation,
@@ -28,7 +27,6 @@ from semiq import (
     liouvillian_sectors,
     normal_quantize,
     number,
-    spin_operators,
     stationary,
 )
 from semiq.integrate import rk4_step
@@ -39,8 +37,10 @@ from semiq.models import (
     limit_cycle_lindblad,
     oscillator_lindblad,
     recurrence_stationary,
+    closure_vs_exact_report,
     rotator_faq,
     rotator_spin_model,
+    rotator_spin_operators,
 )
 
 
@@ -240,8 +240,24 @@ def test_stationary_spin_model():
     model = rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=5))
     state = stationary(model)
     assert np.max(np.abs(lindblad_rhs(model, state).mat)) <= 1e-10
-    _lx, _ly, lz = spin_operators(SpinRep(5))
+    _lx, _ly, lz = rotator_spin_operators(5)
     assert abs(expectation(state, lz)) <= 1e-9
+
+
+def test_stationary_spin_model_l24():
+    l = 24
+    model = rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=l))
+    state = stationary(model)
+    assert np.max(np.abs(lindblad_rhs(model, state).mat)) <= 1e-10
+    assert np.linalg.eigvalsh(state.mat).min() >= -1e-8
+    lx, ly, lz = rotator_spin_operators(l)
+    # L+(l_z) = -lam l_z, so <l_z> vanishes in every stationary state
+    assert abs(expectation(state, lz)) <= 1e-9
+    casimir = expectation(state, lx @ lx + ly @ ly + lz @ lz)
+    assert abs(casimir - l * (l + 1)) <= 1e-9 * l * (l + 1)
+    rows = closure_vs_exact_report(RotatorParams(1.0, 1.0, 0.3, l=l)).rows
+    assert [row.l for row in rows] == list(range(1, l + 1))
+    assert all(np.isfinite(row.x_exact) and np.isfinite(row.rel_deviation) for row in rows)
 
 
 def test_stationary_reports_degeneracy():
@@ -266,7 +282,9 @@ WEAK_DECAY_STRONG_DEPHASING = LindbladModel(
     (LindbladModel(OperatorMatrix(np.zeros((5, 5))), (number(5),)), 5),
     (limit_cycle_lindblad(LimitCycleParams(1.0, 0.0, 1.0), 12), 2),
     (WEAK_DECAY_STRONG_DEPHASING, 2),
-], ids=["dephasing", "limit-cycle-zero-gain", "scale-from-another-sector"])
+    # sigma_x is a second null vector, in the sector without diagonal positions
+    (LindbladModel(OperatorMatrix(np.zeros((2, 2))), (OperatorMatrix([[0, 1], [1, 0]]),)), 2),
+], ids=["dephasing", "limit-cycle-zero-gain", "scale-from-another-sector", "sigma-x-traceless-sector"])
 def test_stationary_degeneracy_matches_svd_oracle(model, null_dim):
     with pytest.raises(DegenerateStationaryState) as oracle:
         svd_stationary(model)
@@ -279,7 +297,7 @@ SECTOR_CASES = {
     "limit-cycle-d12": (lambda: limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), 12), 2 * 12 - 1),
     "limit-cycle-d30": (lambda: limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), 30), 2 * 30 - 1),
     "oscillator-d12": (lambda: oscillator_lindblad(OscillatorParams(1.0, 0.1), 12), 2),
-    "spin-l5": (lambda: rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=5)), 1),
+    "spin-l5": (lambda: rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=5)), 2),
 }
 
 
@@ -289,6 +307,39 @@ def test_stationary_matches_svd_oracle(case):
     model = build()
     assert len(liouvillian_sectors(model)) == n_sectors
     assert np.max(np.abs(stationary(model).mat - svd_stationary(model).mat)) <= 1e-12
+
+
+def test_nondegenerate_stationary_takes_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("stationary fell back to an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for model in (
+        limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), 30),
+        rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=10)),
+    ):
+        assert np.max(np.abs(lindblad_rhs(model, stationary(model)).mat)) <= 1e-10
+
+
+def test_stationary_counts_singular_values_when_bound_fails(monkeypatch):
+    # At null_tol 1e-3 the bound (5e-4 of the largest block norm) cannot rule
+    # out a second null direction, but the true gap (1.5e-2 of the largest
+    # singular value) does: the count decides, and finds one.
+    model = oscillator_lindblad(OscillatorParams(1.0, 0.1), 12)
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args) or svd(*args, **kwargs))
+    state = stationary(model, null_tol=1e-3)
+    assert len(calls) == len(liouvillian_sectors(model))
+    assert np.max(np.abs(state.mat - svd_stationary(model, null_tol=1e-3).mat)) <= 1e-12
+
+
+def test_spin_model_sectors_split_by_parity():
+    d = 21
+    sectors = liouvillian_sectors(rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=10)))
+    assert [len(positions) for positions in sectors] == [221, 220]
+    cols, rows = np.divmod(np.arange(d * d), d)
+    assert [set((rows[positions] - cols[positions]) % 2) for positions in sectors] == [{0}, {1}]
 
 
 def test_limit_cycle_sectors_are_diagonals():
@@ -398,7 +449,7 @@ def test_adjoint_generator_spin_identity():
     lam = 0.3
     for l in range(1, 11):
         model = rotator_spin_model(RotatorParams(1.0, 1.0, lam, l=l))
-        _lx, _ly, lz = spin_operators(SpinRep(l))
+        _lx, _ly, lz = rotator_spin_operators(l)
         gap = adjoint_generator(lz, model).mat + lam * lz.mat
         assert np.max(np.abs(gap)) <= 1e-12
 

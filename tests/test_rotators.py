@@ -7,17 +7,16 @@ from helpers import newton_closure
 from semiq import (
     DensityMatrix,
     FockSpace,
-    SpinRep,
     classical_flow,
     expectation,
     lindblad_rhs,
     sample_phase_points,
     schwinger_spin,
-    spin_operators,
     stationary,
     verify_faq,
 )
 from semiq.models import (
+    EXACT_SPIN_L_MAX,
     MomentState,
     _cross,
     RotatorParams,
@@ -34,6 +33,7 @@ from semiq.models import (
     rotator_spin_channel,
     rotator_spin_hamiltonian,
     rotator_spin_model,
+    rotator_spin_operators,
     spin_components,
 )
 
@@ -105,7 +105,7 @@ def test_spin_model_operators():
     lam = 0.3
     params = RotatorParams(1.05, 0.95, lam, l=3)
     model = rotator_spin_model(params)
-    lx, ly, lz = spin_operators(SpinRep(3))
+    lx, ly, lz = rotator_spin_operators(3)
     expected_h = -params.delta * lz.mat - lam * (ly.mat @ lz.mat + lz.mat @ ly.mat)
     expected_r = np.sqrt(lam) * (lz.mat - 1j * ly.mat)
     assert np.max(np.abs(model.h.mat - expected_h)) <= 1e-13
@@ -116,7 +116,7 @@ def test_spin_model_stationary_state():
     model = rotator_spin_model(SYNC)
     state = stationary(model)
     assert np.max(np.abs(lindblad_rhs(model, state).mat)) <= 1e-10
-    _lx, ly, lz = spin_operators(SpinRep(SYNC.l))
+    _lx, ly, lz = rotator_spin_operators(SYNC.l)
     assert abs(expectation(state, lz)) <= 1e-9
     assert abs(expectation(state, ly).imag) <= 1e-10
 
@@ -306,7 +306,9 @@ def test_closure_vs_exact_report():
 
 def test_closure_report_validation():
     with pytest.raises(ValueError):
-        closure_vs_exact_report(RotatorParams(1.0, 1.0, 0.2, l=20))
+        closure_vs_exact_report(RotatorParams(1.0, 1.0, 0.2, l=EXACT_SPIN_L_MAX + 1))
+    with pytest.raises(ValueError):
+        closure_vs_exact_report(RotatorParams(1.0, 1.0, 0.2, l=5), l_values=[2, EXACT_SPIN_L_MAX + 1])
     with pytest.raises(ValueError):
         closure_vs_exact_report(RotatorParams(1.2, 1.0, 0.2, l=5))
 
@@ -330,5 +332,5 @@ def test_rotator_parameter_validation():
     with pytest.raises(ValueError):
         RotatorParams(1.0, 1.0, 0.3, l=0.7)
     with pytest.raises(ValueError):
-        rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=0.5))
+        RotatorParams(1.0, 1.0, 0.3, l=0.5)
     assert RotatorParams(1.2, 1.0, 0.3).delta == pytest.approx(0.2)
