@@ -126,6 +126,34 @@ def _real(value) -> float:
     return number
 
 
+def _integer_from(low: int) -> Callable:
+    """The caster of an integer config value of at least low."""
+
+    def cast(value) -> int:
+        number = _integer(value)
+        if number < low:
+            raise ValueError(f"expected an integer of at least {low}, got {value!r}")
+        return number
+
+    return cast
+
+
+def _positive(value) -> float:
+    """A real config value above zero, such as a tolerance."""
+    number = _real(value)
+    if number <= 0:
+        raise ValueError(f"expected a positive real number, got {value!r}")
+    return number
+
+
+def _relative_tol(value) -> float:
+    """A relative tolerance: a real config value strictly between 0 and 1."""
+    number = _real(value)
+    if not 0 < number < 1:
+        raise ValueError(f"expected a real number in (0, 1), got {value!r}")
+    return number
+
+
 def _is_real(value) -> bool:
     try:
         _real(value)
@@ -145,8 +173,8 @@ def _complex_pair(value) -> list:
 
 # numerics read by the FAQ check of the oscillator, limit-cycle and rotators runs
 _FAQ_CHECK = {
-    "faq_points": (False, 100, _integer),
-    "faq_tol": (False, 1e-12, _real),
+    "faq_points": (False, 100, _integer_from(1)),
+    "faq_tol": (False, 1e-12, _positive),
 }
 
 # key -> (required, default, caster); classical-flow adds the block of the
@@ -155,30 +183,30 @@ _SCHEMAS = {
     "oscillator": {
         "params": _MODELS["oscillator"].block,
         "numerics": {
-            "dim": (True, None, _integer),
+            "dim": (True, None, _integer_from(models.OSCILLATOR_DIM_MIN)),
             "evolve.dt": (True, None, _real),
             "t_end": (True, None, _real),
             "alpha": (False, [2.0, 0.0], _complex_pair),
             "sample_every": (False, 0, _integer),
-            "validate.pos_tol": (False, 1e-8, _real),
+            "validate.pos_tol": (False, 1e-8, _positive),
             **_FAQ_CHECK,
         },
     },
     "limit-cycle": {
         "params": _MODELS["limit-cycle"].block,
         "numerics": {
-            "dim": (True, None, _integer),
-            "n_max": (True, None, _integer),
-            "stationary.null_tol": (False, 1e-10, _real),
-            "validate.pos_tol": (False, 1e-8, _real),
+            "dim": (True, None, _integer_from(models.LIMIT_CYCLE_DIM_MIN)),
+            "n_max": (True, None, _integer_from(models.RECURRENCE_N_MAX_MIN)),
+            "stationary.null_tol": (False, 1e-10, _relative_tol),
+            "validate.pos_tol": (False, 1e-8, _positive),
             **_FAQ_CHECK,
         },
     },
     "rotators": {
         "params": _MODELS["rotators"].block,
         "numerics": {
-            "stationary.null_tol": (False, 1e-10, _real),
-            "validate.pos_tol": (False, 1e-8, _real),
+            "stationary.null_tol": (False, 1e-10, _relative_tol),
+            "validate.pos_tol": (False, 1e-8, _positive),
             **_FAQ_CHECK,
         },
     },
@@ -481,11 +509,10 @@ def _run_oscillator(resolved: dict, out_dir: Path | None) -> dict:
     })
     if out_dir is not None:
         export_trajectory_csv(trajectory, out_dir / "classical.csv", weights)
-        rows = [
-            (t, result.expectations["a"][i], result.expectations["n"][i])
-            for i, t in enumerate(result.times)
-        ]
-        write_csv(out_dir / "quantum.csv", ["t", "a", "n"], rows)
+        write_csv(
+            out_dir / "quantum.csv", ["t", "a", "n"],
+            [result.times, result.expectations["a"], result.expectations["n"]],
+        )
     return summary
 
 
@@ -507,11 +534,11 @@ def _run_limit_cycle(resolved: dict, out_dir: Path | None) -> dict:
         "offdiag_max": float(np.max(np.abs(off))),
     })
     if out_dir is not None:
-        rows = [
-            (k, distribution[k] if k < len(distribution) else 0.0, diag[k] if k < dim else 0.0)
-            for k in range(max(len(distribution), dim))
-        ]
-        write_csv(out_dir / "distribution.csv", ["n", "p_recurrence", "p_exact"], rows)
+        size = max(len(distribution), dim)
+        write_csv(
+            out_dir / "distribution.csv", ["n", "p_recurrence", "p_exact"],
+            [range(size), np.pad(distribution, (0, size - len(distribution))), np.pad(diag, (0, size - dim))],
+        )
         export_operator_csv(state.op, out_dir / "stationary_state.csv")
     return summary
 
@@ -538,7 +565,7 @@ def _run_rotators(resolved: dict, out_dir: Path | None) -> dict:
         write_csv(
             out_dir / "closure.csv",
             ["l", "N", "x_closure", "x_exact", "rel_deviation", "lz_exact", "ly_exact"],
-            rows,
+            zip(*rows),
         )
     return summary
 
@@ -575,7 +602,7 @@ def _run_conformance(resolved: dict, out_dir: Path | None) -> dict:
         summary[f"agrees_{slug}"] = line.agrees
     if out_dir is not None:
         rows = [(line.observable, line.max_abs_deviation, line.agrees) for line in report.lines]
-        write_csv(out_dir / "conformance.csv", ["moment_equation", "max_abs_deviation", "agrees"], rows)
+        write_csv(out_dir / "conformance.csv", ["moment_equation", "max_abs_deviation", "agrees"], zip(*rows))
     return summary
 
 
@@ -627,7 +654,7 @@ def _run_sweep(resolved: dict, out_dir: Path, jobs: int) -> dict:
     rows = []
     for (combo, _point), summary in zip(points, summaries):
         rows.append(list(combo) + [summary[k] for k in summary_keys])
-    write_csv(out_dir / "sweep.csv", header, rows)
+    write_csv(out_dir / "sweep.csv", header, zip(*rows))
     return {"grid_points": len(points), "sweep_keys": ",".join(keys)}
 
 

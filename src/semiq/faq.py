@@ -260,4 +260,4 @@ def export_trajectory_csv(trajectory: Trajectory, path, weights: np.ndarray | No
         columns.extend([trajectory.states[:, a].real, trajectory.states[:, a].imag])
     header.append("weight")
     columns.append(weights)
-    write_csv(path, header, np.column_stack(columns).astype(float).tolist())
+    write_csv(path, header, [np.asarray(column, dtype=float) for column in columns])

@@ -36,6 +36,15 @@ call at d = 40 and 75-80 us at d = 80, against 58-64 and 274-282 us for
 the matrix products it replaced (2-core VM, numpy 2.4 with OpenBLAS).  A
 dense operator makes P ~ d^2, so the stencil suits the banded generators
 that quantized polynomials give.
+
+Stationary states are solved per sector of the vectorized generator, one
+block per mirror pair.  The generator maps rho+ to L(rho)+, so the
+transposed positions (i, j) -> (j, i) of a sector form a sector whose block
+is the conjugate of the first after permuting rows and columns alike; both
+have the same singular values.  The block of a sector that holds diagonal
+positions is its own mirror.  A number-covariant model such as the limit
+cycle has 2 dim - 1 sectors but dim such pairs, so it takes dim block
+inverses.
 """
 
 from __future__ import annotations
@@ -350,8 +359,14 @@ def liouvillian_sectors(model: LindbladModel) -> list[np.ndarray]:
     it by amounts of one parity, splits at least into i - j even and i - j
     odd: the oscillator, and the spin rotator model at delta = 0.  A
     symmetry shows only when the basis makes it visible in the sparsity
-    pattern.
+    pattern.  Since the generator maps rho+ to L(rho)+, the transposed
+    positions (i, j) -> (j, i) of a sector form one sector, its mirror.
     """
+    return _sectors(model)[0]
+
+
+def _sectors(model: LindbladModel) -> tuple[list[np.ndarray], np.ndarray]:
+    """liouvillian_sectors, and the index of the sector of each position."""
     d = model.dim
     index = np.arange(d)
     k_rows, k_cols = np.nonzero(model._k)
@@ -376,7 +391,7 @@ def liouvillian_sectors(model: LindbladModel) -> list[np.ndarray]:
         np.minimum.at(labels, dst, low)
         labels = labels[labels]
     _roots, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    return np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    return np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1]), inverse
 
 
 def liouvillian_matrix(model: LindbladModel, positions: np.ndarray | None = None) -> np.ndarray:
@@ -430,13 +445,29 @@ def stationary(
     null space of dimension other than one raises DegenerateStationaryState
     with that dimension.  The null vector is Hermitized, trace-normalized and
     validated (residual below residual_tol, eigenvalues above -pos_tol).
+
+    Each block is solved once per mirror pair of sectors.  The block of a
+    sector's mirror is the entrywise conjugate of its own after permuting
+    rows and columns alike, so it has the same norm, singular values and
+    bound; a sector with diagonal positions is its own mirror.  A
+    number-covariant model thus takes dim inverses instead of 2 dim - 1.
+    A null_tol outside (0, 1) raises ValueError.
     """
+    if not 0.0 < null_tol < 1.0:
+        raise ValueError(f"null_tol must lie in (0, 1), got {null_tol!r}")
     d = model.dim
-    sectors = liouvillian_sectors(model)
+    sectors, sector_of = _sectors(model)
+    cols, rows = np.divmod(np.array([positions[0] for positions in sectors]), d)
+    mirrors = sector_of[rows * d + cols]  # the sector of each sector's transpose
+    # the first sector of each mirror pair, and how many sectors it stands for
+    solved = [
+        (positions, 1 if mirrors[k] == k else 2)
+        for k, positions in enumerate(sectors) if mirrors[k] >= k
+    ]
     norm_bound = 0.0  # largest ||block||_F, at least the largest singular value
-    gap_bounds = []  # per sector, 1 / ||B^-1||_F, or 0.0 where B is singular
+    gap_bounds = []  # per solved sector, 1 / ||B^-1||_F, or 0.0 where B is singular
     traced = []  # (positions, null vector) of each sector with diagonal positions
-    for positions in sectors:
+    for positions, _count in solved:
         block = liouvillian_matrix(model, positions)
         norm_bound = max(norm_bound, float(np.linalg.norm(block)))
         diagonal = np.flatnonzero(positions % (d + 1) == 0)
@@ -455,10 +486,13 @@ def stationary(
 
     threshold = null_tol * (norm_bound if norm_bound > 0 else 1.0)
     if len(traced) != 1 or not all(bound > threshold for bound in gap_bounds):
-        values = [np.linalg.svd(liouvillian_matrix(model, positions), compute_uv=False) for positions in sectors]
-        scale = max(s[0] for s in values)
+        values = [
+            (np.linalg.svd(liouvillian_matrix(model, positions), compute_uv=False), count)
+            for positions, count in solved
+        ]
+        scale = max(s[0] for s, _count in values)
         scale = scale if scale > 0 else 1.0
-        null_dim = sum(int(np.sum(s <= null_tol * scale)) for s in values)
+        null_dim = sum(count * int(np.sum(s <= null_tol * scale)) for s, count in values)
         if null_dim != 1:
             raise DegenerateStationaryState(null_dim)
         if len(traced) != 1:

@@ -43,10 +43,13 @@ __all__ = [
     "MomentState",
     "oscillator_faq",
     "oscillator_field",
+    "OSCILLATOR_DIM_MIN",
     "oscillator_lindblad",
     "limit_cycle_faq",
     "limit_cycle_field",
+    "LIMIT_CYCLE_DIM_MIN",
     "limit_cycle_lindblad",
+    "RECURRENCE_N_MAX_MIN",
     "recurrence_stationary",
     "kummer_phi",
     "generating_function",
@@ -121,10 +124,14 @@ def oscillator_field(params: OscillatorParams) -> Callable[[PhasePoint], np.ndar
     return field
 
 
+# Smallest Fock truncation of the quantized oscillator.
+OSCILLATOR_DIM_MIN = 2
+
+
 def oscillator_lindblad(params: OscillatorParams, dim: int) -> LindbladModel:
     """Quantized model with H and R in normal-ordered form."""
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
+    if dim < OSCILLATOR_DIM_MIN:
+        raise ValueError(f"dim must be at least {OSCILLATOR_DIM_MIN}")
     system = oscillator_faq(params)
     space = FockSpace((dim,))
     h = normal_quantize(system.hamiltonian, space)
@@ -178,15 +185,23 @@ def limit_cycle_field(params: LimitCycleParams) -> Callable[[PhasePoint], np.nda
     return field
 
 
+# Smallest Fock truncation of the quantized limit cycle.
+LIMIT_CYCLE_DIM_MIN = 4
+
+
 def limit_cycle_lindblad(params: LimitCycleParams, dim: int) -> LindbladModel:
     """Quantized model: H = omega a+ a, R1 = sqrt(lam) a+, R2 = sqrt(mu) a^2."""
-    if dim < 4:
-        raise ValueError("dim must be at least 4 for the two-photon channel")
+    if dim < LIMIT_CYCLE_DIM_MIN:
+        raise ValueError(f"dim must be at least {LIMIT_CYCLE_DIM_MIN} for the two-photon channel")
     system = limit_cycle_faq(params)
     space = FockSpace((dim,))
     h = normal_quantize(system.hamiltonian, space)
     channels = tuple(normal_quantize(r, space) for r in system.channels)
     return LindbladModel(h, channels)
+
+
+# Smallest truncation n_max of the stationary recurrence.
+RECURRENCE_N_MAX_MIN = 10
 
 
 def recurrence_stationary(nu: float, n_max: int) -> np.ndarray:
@@ -200,8 +215,8 @@ def recurrence_stationary(nu: float, n_max: int) -> np.ndarray:
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    if n_max < 10:
-        raise ValueError("n_max must be at least 10")
+    if n_max < RECURRENCE_N_MAX_MIN:
+        raise ValueError(f"n_max must be at least {RECURRENCE_N_MAX_MIN}")
     size = n_max + 1
     rows = np.zeros((size + 1, size))
     for n in range(size):

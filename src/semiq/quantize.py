@@ -340,5 +340,5 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 
 def export_operator_csv(op: OperatorMatrix, path):
     """Dump as `row, col, re, im` rows (all entries, row-major)."""
-    rows = ((i, j, value.real, value.imag) for (i, j), value in np.ndenumerate(op.mat))
-    write_csv(path, ["row", "col", "re", "im"], rows)
+    rows, cols = np.indices(op.mat.shape)
+    write_csv(path, ["row", "col", "re", "im"], [rows.ravel(), cols.ravel(), op.mat.real.ravel(), op.mat.imag.ravel()])

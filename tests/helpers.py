@@ -1,6 +1,8 @@
 """Shared test utilities: seeded random inputs with exact arithmetic, and
 independent oracles for closed forms computed by the library."""
 
+import csv
+
 import numpy as np
 
 from semiq import DegenerateStationaryState, DensityMatrix, NumericalFailure, OperatorMatrix, Polynomial
@@ -149,3 +151,23 @@ def svd_stationary(model, null_tol=1e-10, residual_tol=1e-10, pos_tol=POSITIVITY
     return DensityMatrix(
         OperatorMatrix(candidate, model.h.basis), pos_tol=pos_tol
     )
+
+
+def format_cell(cell) -> str:
+    """Oracle for the CSV writer's formatters, one cell at a time."""
+    if isinstance(cell, bool):
+        return "1" if cell else "0"
+    if isinstance(cell, float):
+        return f"{cell:.17g}"
+    if isinstance(cell, complex):
+        return f"{cell.real:.17g}{'+' if cell.imag >= 0 else '-'}{abs(cell.imag):.17g}i"
+    return str(cell)
+
+
+def write_csv_by_cell(path, header, rows):
+    """Oracle for _csv.write_csv: the table row by row, formatted by format_cell."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_cell(cell) for cell in row])

@@ -7,7 +7,18 @@ import pytest
 
 from semiq import cli
 from semiq.cli import _config_hash, main, resolve_config, validate_config
-from semiq.models import EXACT_SPIN_L_MAX, ly2_analytic
+from semiq.models import (
+    EXACT_SPIN_L_MAX,
+    LIMIT_CYCLE_DIM_MIN,
+    OSCILLATOR_DIM_MIN,
+    RECURRENCE_N_MAX_MIN,
+    LimitCycleParams,
+    OscillatorParams,
+    limit_cycle_lindblad,
+    ly2_analytic,
+    oscillator_lindblad,
+    recurrence_stationary,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -237,13 +248,27 @@ def oscillator_with(key, value):
     (rotators_config("conformance", l=0.5), "spin l must be at least 1"),
     (limit_cycle_with("params", "mu", 0), "mu must be positive"),
     (limit_cycle_config(sweep={"params.mu": [1.0, 0.0]}), "params.mu=0.0"),
+    (limit_cycle_with("numerics", "dim", LIMIT_CYCLE_DIM_MIN - 1), "numerics.dim"),
+    (limit_cycle_config(sweep={"numerics.dim": [12, LIMIT_CYCLE_DIM_MIN - 1]}), "numerics.dim[1]"),
+    (limit_cycle_with("numerics", "n_max", RECURRENCE_N_MAX_MIN - 1), "numerics.n_max"),
+    (oscillator_with("dim", OSCILLATOR_DIM_MIN - 1), "numerics.dim"),
+    (limit_cycle_with("numerics", "faq_points", 0), "numerics.faq_points"),
+    (oscillator_config(sweep={"numerics.faq_points": [10, 0]}), "numerics.faq_points[1]"),
+    (limit_cycle_with("numerics", "stationary.null_tol", -1), "numerics.stationary.null_tol"),
+    (limit_cycle_config(sweep={"numerics.stationary.null_tol": [1e-10, 1.0]}), "numerics.stationary.null_tol[1]"),
+    (oscillator_with("validate.pos_tol", 0.0), "numerics.validate.pos_tol"),
+    (limit_cycle_config(sweep={"numerics.validate.pos_tol": [1e-8, -1e-8]}), "numerics.validate.pos_tol[1]"),
+    (limit_cycle_with("numerics", "faq_tol", -1e-12), "numerics.faq_tol"),
 ], ids=["null-required", "null-optional", "null-param", "null-sweep-value",
         "sweep-not-a-number", "sweep-list-for-int", "not-an-int", "fractional-int", "bool-for-int",
         "sweep-fractional-int", "bool-seed", "fractional-sample-every", "alpha-three-numbers",
         "alpha-string", "sweep-alpha-one-number", "inf-string", "nan-string", "bool-for-real",
         "sweep-nan", "zero-step", "negative-t-end", "nan-initial", "bool-initial",
         "rotators-half-spin", "rotators-fractional-2l", "rotators-negative-lambda",
-        "rotators-above-limit", "conformance-half-spin", "limit-cycle-zero-mu", "sweep-zero-mu"])
+        "rotators-above-limit", "conformance-half-spin", "limit-cycle-zero-mu", "sweep-zero-mu",
+        "limit-cycle-dim-below-min", "sweep-limit-cycle-dim-below-min", "n-max-below-min",
+        "oscillator-dim-below-min", "zero-faq-points", "sweep-zero-faq-points", "negative-null-tol",
+        "sweep-null-tol-one", "zero-pos-tol", "sweep-negative-pos-tol", "negative-faq-tol"])
 def test_bad_value_rejected_before_run(tmp_path, capsys, config, named):
     assert_rejected_before_run(tmp_path, capsys, config, named)
 
@@ -263,6 +288,18 @@ def test_time_grid_off_step_rejected_before_run(tmp_path, capsys, config, dt_key
 
 def test_rotators_limit_is_the_exact_solve_limit():
     assert validate_config(rotators_config(l=EXACT_SPIN_L_MAX)) == []
+
+
+def test_numerics_limits_are_the_builder_limits():
+    assert validate_config(limit_cycle_with("numerics", "dim", LIMIT_CYCLE_DIM_MIN)) == []
+    assert validate_config(limit_cycle_with("numerics", "n_max", RECURRENCE_N_MAX_MIN)) == []
+    assert validate_config(oscillator_with("dim", OSCILLATOR_DIM_MIN)) == []
+    with pytest.raises(ValueError):
+        limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), LIMIT_CYCLE_DIM_MIN - 1)
+    with pytest.raises(ValueError):
+        recurrence_stationary(1.0, RECURRENCE_N_MAX_MIN - 1)
+    with pytest.raises(ValueError):
+        oscillator_lindblad(OscillatorParams(1.0, 0.1), OSCILLATOR_DIM_MIN - 1)
 
 
 def test_validate_names_null_output_dir():

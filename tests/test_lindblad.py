@@ -284,7 +284,10 @@ WEAK_DECAY_STRONG_DEPHASING = LindbladModel(
     (WEAK_DECAY_STRONG_DEPHASING, 2),
     # sigma_x is a second null vector, in the sector without diagonal positions
     (LindbladModel(OperatorMatrix(np.zeros((2, 2))), (OperatorMatrix([[0, 1], [1, 0]]),)), 2),
-], ids=["dephasing", "limit-cycle-zero-gain", "scale-from-another-sector", "sigma-x-traceless-sector"])
+    # |0><1| and |1><0| are null vectors in two sectors that mirror each other
+    (LindbladModel(OperatorMatrix(np.zeros((3, 3))), (OperatorMatrix(np.diag([0.0, 0.0, 1.0])),)), 5),
+], ids=["dephasing", "limit-cycle-zero-gain", "scale-from-another-sector", "sigma-x-traceless-sector",
+        "null-mirror-pair"])
 def test_stationary_degeneracy_matches_svd_oracle(model, null_dim):
     with pytest.raises(DegenerateStationaryState) as oracle:
         svd_stationary(model)
@@ -332,6 +335,50 @@ def test_stationary_counts_singular_values_when_bound_fails(monkeypatch):
     state = stationary(model, null_tol=1e-3)
     assert len(calls) == len(liouvillian_sectors(model))
     assert np.max(np.abs(state.mat - svd_stationary(model, null_tol=1e-3).mat)) <= 1e-12
+
+
+MIRROR_CASES = {
+    "limit-cycle-d12": lambda: limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), 12),
+    "oscillator-d12": lambda: oscillator_lindblad(OscillatorParams(1.0, 0.1), 12),
+    "spin-l3": lambda: rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=3)),
+    "random-two-channel-d6": lambda: two_channel_model(6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIRROR_CASES))
+def test_sector_mirror_block_is_conjugate(case):
+    # L(rho+) = L(rho)+: the transposed positions of a sector form one sector,
+    # whose block, in the order of the transposed positions, is the conjugate
+    # up to the rounding of K's entries
+    model = MIRROR_CASES[case]()
+    d = model.dim
+    sectors = liouvillian_sectors(model)
+    as_sets = [set(positions.tolist()) for positions in sectors]
+    for positions in sectors:
+        cols, rows = np.divmod(positions, d)
+        mirrored = rows * d + cols
+        assert set(mirrored.tolist()) in as_sets
+        block = liouvillian_matrix(model, positions)
+        assert np.max(np.abs(liouvillian_matrix(model, mirrored) - block.conj())) <= 1e-14 * np.max(np.abs(block))
+
+
+def test_stationary_solves_one_block_per_mirror_pair(monkeypatch):
+    inv = np.linalg.inv
+    calls = []
+    monkeypatch.setattr(np.linalg, "inv", lambda block: calls.append(block.shape) or inv(block))
+    # 2 d - 1 diagonal sectors, of which d - 1 mirror pairs and the main diagonal
+    stationary(limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), 30))
+    assert len(calls) == 30
+    calls.clear()
+    # the parity sectors are their own mirrors
+    stationary(rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=10)))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("null_tol", [0.0, -1.0, 1.0, float("nan")])
+def test_stationary_rejects_null_tol_outside_unit_interval(null_tol):
+    with pytest.raises(ValueError, match="null_tol"):
+        stationary(decay_model(4), null_tol=null_tol)
 
 
 def test_spin_model_sectors_split_by_parity():
