@@ -215,15 +215,15 @@ _SCHEMAS = {
         "numerics": {
             "dt": (True, None, _real),
             "t_end": (True, None, _real),
-            "record_every": (False, 1, _integer),
+            "record_every": (False, 1, _integer_from(1)),
             "initial": (True, None, list),
         },
     },
     "conformance": {
         "params": _MODELS["rotators"].block,
         "numerics": {
-            "n_samples": (False, 50, _integer),
-            "tol": (False, 1e-10, _real),
+            "n_samples": (False, 50, _integer_from(1)),
+            "tol": (False, 1e-10, _positive),
         },
     },
 }

@@ -14,6 +14,13 @@ phase-space density.
 
 The FAQ decomposition is always taken as input; no attempt is made to
 discover H and R from a raw vector field.
+
+Every drift polynomial is evaluated by the compiled evaluator of
+observables.  Single-point work (drift, classical_flow, phase_divergence,
+ensemble_weights) runs it on Python-scalar columns; the FAQ check runs it
+once over the columns of all its sample points.  A phase point is a
+PhasePoint or a sequence of mode_count complex coordinates, such as a row
+of the array that sample_phase_points returns.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 
 from ._csv import write_csv
 from .integrate import rk4_path
-from .observables import PhasePoint, Polynomial, _as_coords
+from .observables import PhasePoint, Polynomial, _as_coords, _columns
 
 __all__ = [
     "FaqSystem",
@@ -60,12 +67,12 @@ class FaqSystem:
         for j, channel in enumerate(channels):
             if channel.mode_count != self.mode_count:
                 raise ValueError(f"channel {j} mode_count does not match system")
-        for point in sample_phase_points(self.mode_count, _REALITY_SAMPLES, radius=1.0, seed=20260127):
-            value = self.hamiltonian.evaluate(point)
-            if abs(value.imag) > _REALITY_TOL:
-                raise ValueError(
-                    f"hamiltonian is not a real observable: Im H = {value.imag:.3e} at a sample point"
-                )
+        samples = sample_phase_points(self.mode_count, _REALITY_SAMPLES, radius=1.0, seed=20260127)
+        worst = float(np.max(np.abs(np.imag(self.hamiltonian._evaluate_coords(_columns(samples.T))))))
+        if worst > _REALITY_TOL:
+            raise ValueError(
+                f"hamiltonian is not a real observable: |Im H| = {worst:.3e} at a sample point"
+            )
         object.__setattr__(self, "_drift_polys", self._build_drift_polys())
 
     def _build_drift_polys(self) -> tuple[Polynomial, ...]:
@@ -128,23 +135,24 @@ class FaqCheck:
         return self.max_abs_error <= self.tol
 
 
-def sample_phase_points(mode_count: int, n: int, radius: float = 3.0, seed: int = 0) -> list[PhasePoint]:
-    """Seeded sample, uniform over a complex disc of given radius per mode."""
+def sample_phase_points(mode_count: int, n: int, radius: float = 3.0, seed: int = 0) -> np.ndarray:
+    """Seeded sample, uniform over a complex disc of given radius per mode:
+    an (n, mode_count) complex array with one phase point per row."""
     rng = np.random.default_rng(seed)
     r = radius * np.sqrt(rng.uniform(size=(n, mode_count)))
     theta = rng.uniform(0.0, 2.0 * np.pi, size=(n, mode_count))
-    zs = r * np.exp(1j * theta)
-    return [PhasePoint(row) for row in zs]
+    return r * np.exp(1j * theta)
+
+
+def _point_drift(polys: Sequence[Polynomial], coords: np.ndarray) -> np.ndarray:
+    """The drift at one point, evaluated on Python-scalar columns."""
+    columns = _columns(coords.tolist())
+    return np.array([poly._evaluate_coords(columns) for poly in polys], dtype=complex)
 
 
 def drift(system: FaqSystem, point) -> np.ndarray:
     """dz_a/dt for each mode at the given phase point."""
-    coords = _as_coords(point, system.mode_count)
-    conj = coords.conjugate()
-    return np.array(
-        [poly._evaluate_coords(coords, conj) for poly in system.drift_polynomials],
-        dtype=complex,
-    )
+    return _point_drift(system.drift_polynomials, _as_coords(point, system.mode_count))
 
 
 def verify_faq(
@@ -155,30 +163,58 @@ def verify_faq(
 ) -> FaqCheck:
     """Max deviation between the FAQ drift and a claimed vector field.
 
-    `field` maps a PhasePoint to a length-mode_count complex vector.  The
-    report carries the verdict; nothing is raised on failure.
+    `samples` holds N phase points as the rows of an (N, mode_count) array,
+    as sample_phase_points returns them.  `field` takes the coordinate
+    columns, a (mode_count, N) array with the modes on axis 0, and returns
+    the velocities in the same shape (the column contract of the model
+    fields).  The field is called once and each drift polynomial evaluated
+    once over all N points.  The report carries the verdict; nothing is
+    raised on failure.
     """
     if len(samples) == 0:
         raise ValueError("verify_faq needs at least one sample point")
-    worst = 0.0
-    for sample in samples:
-        point = sample if isinstance(sample, PhasePoint) else PhasePoint(sample)
-        difference = drift(system, point) - np.asarray(field(point), dtype=complex)
-        worst = max(worst, float(np.max(np.abs(difference))))
-    return FaqCheck(max_abs_error=worst, tol=float(tol), n_samples=len(samples))
+    columns = np.asarray(samples, dtype=complex).T
+    if columns.ndim != 2 or columns.shape[0] != system.mode_count:
+        raise ValueError(
+            f"samples must be an (N, {system.mode_count}) array of phase points, got shape {columns.T.shape}"
+        )
+    reference = np.asarray(field(columns), dtype=complex)
+    if reference.shape != columns.shape:
+        raise ValueError(f"field returned shape {reference.shape} for coordinate columns of shape {columns.shape}")
+    variables = _columns(columns)
+    difference = np.empty_like(columns)
+    for mode, poly in enumerate(system.drift_polynomials):
+        difference[mode] = poly._evaluate_coords(variables)
+    difference -= reference
+    return FaqCheck(max_abs_error=float(np.max(np.abs(difference))), tol=float(tol), n_samples=columns.shape[1])
 
 
 def classical_flow(system: FaqSystem, z0, t_end: float, dt: float, record_every: int = 1) -> Trajectory:
     """Fixed-step RK4 trajectory of the FAQ drift from z0."""
-    coords = _as_coords(z0, system.mode_count)
     polys = system.drift_polynomials
 
     def field(_t, zs):
-        conj = zs.conjugate()
-        return np.array([poly._evaluate_coords(zs, conj) for poly in polys], dtype=complex)
+        return _point_drift(polys, zs)
 
-    times, states = rk4_path(field, coords, t_end, dt, record_every=record_every)
+    times, states = rk4_path(field, _as_coords(z0, system.mode_count), t_end, dt, record_every=record_every)
     return Trajectory(times, states)
+
+
+def _channel_partials(system: FaqSystem) -> list[tuple[Polynomial, Polynomial]]:
+    """(dR/dz*_a, dR/dz_a) for every channel R and mode a, channel-major."""
+    return [
+        (channel.partial(mode, "zc"), channel.partial(mode, "z"))
+        for channel in system.channels
+        for mode in range(system.mode_count)
+    ]
+
+
+def _divergence(partials: Sequence[tuple[Polynomial, Polynomial]], columns: list) -> float:
+    """Sum of 2 (|dR/dz*_a|^2 - |dR/dz_a|^2) at one point's scalar columns."""
+    total = 0.0
+    for d_conj, d_plain in partials:
+        total += 2.0 * (abs(d_conj._evaluate_coords(columns)) ** 2 - abs(d_plain._evaluate_coords(columns)) ** 2)
+    return total
 
 
 def phase_divergence(system: FaqSystem, point) -> float:
@@ -188,15 +224,8 @@ def phase_divergence(system: FaqSystem, point) -> float:
     2 (|dR/dz*_a|^2 - |dR/dz_a|^2) per mode, which is the closed-form
     divergence of the dissipative part of the drift.
     """
-    coords = _as_coords(point, system.mode_count)
-    conj = coords.conjugate()
-    total = 0.0
-    for channel in system.channels:
-        for mode in range(system.mode_count):
-            d_conj = channel.partial(mode, "zc")._evaluate_coords(coords, conj)
-            d_plain = channel.partial(mode, "z")._evaluate_coords(coords, conj)
-            total += 2.0 * (abs(d_conj) ** 2 - abs(d_plain) ** 2)
-    return total
+    columns = _columns(_as_coords(point, system.mode_count).tolist())
+    return _divergence(_channel_partials(system), columns)
 
 
 def ensemble_weights(
@@ -215,26 +244,13 @@ def ensemble_weights(
     """
     m = system.mode_count
     polys = system.drift_polynomials
-    channel_partials = [
-        [(channel.partial(mode, "zc"), channel.partial(mode, "z")) for mode in range(m)]
-        for channel in system.channels
-    ]
+    partials = _channel_partials(system)
 
     def field(_t, y):
-        zs = y[:m]
-        conj = zs.conjugate()
-        out = np.empty(m + 1, dtype=complex)
-        for a in range(m):
-            out[a] = polys[a]._evaluate_coords(zs, conj)
-        div = 0.0
-        for partials in channel_partials:
-            for d_conj, d_plain in partials:
-                div += 2.0 * (
-                    abs(d_conj._evaluate_coords(zs, conj)) ** 2
-                    - abs(d_plain._evaluate_coords(zs, conj)) ** 2
-                )
-        out[m] = -div  # d(log f)/dt
-        return out
+        columns = _columns(y.tolist()[:m])
+        out = [poly._evaluate_coords(columns) for poly in polys]
+        out.append(-_divergence(partials, columns))  # d(log f)/dt
+        return np.array(out, dtype=complex)
 
     results = []
     for initial in points:

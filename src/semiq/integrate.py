@@ -14,11 +14,24 @@ __all__ = ["rk4_step", "rk4_path"]
 
 
 def rk4_step(field, t: float, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step, y + (h/6) (k1 + 2 k2 + 2 k3 + k4).
+
+    The stages add into one buffer in place.  Each addition and product
+    pairs the same two values as the plain expression does (floating-point
+    addition and multiplication commute), so the step is bit for bit that
+    expression.  The field returns arrays of y's dtype.
+    """
     k1 = field(t, y)
     k2 = field(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = field(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = field(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc = 2.0 * k2
+    acc += k1
+    acc += 2.0 * k3
+    acc += k4
+    acc *= h / 6.0
+    acc += y
+    return acc
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -38,6 +51,8 @@ def rk4_path(field, y0: np.ndarray, t_end: float, dt: float, record_every: int =
     stacked along axis 0, recorded every `record_every` steps plus the final
     state.  Raises FlowDiverged as soon as a non-finite state appears.
     """
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
     n_steps = _step_count(t_end, dt)
     y = np.array(y0)
     times = [0.0]

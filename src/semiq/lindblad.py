@@ -315,7 +315,8 @@ def evolve(
             samples[name].append(_trace_product(mat, op.mat))
         max_trace_dev = max(max_trace_dev, abs(np.trace(mat) - 1.0))
         max_herm_dev = max(max_herm_dev, float(np.max(np.abs(mat - mat.conj().T))))
-        min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
+        # mat is exactly Hermitian (see above), so it goes to eigvalsh as is.
+        min_eig = float(np.linalg.eigvalsh(mat).min())
         min_eig_seen = min(min_eig_seen, min_eig)
         if min_eig < -pos_abort_tol:
             raise PositivityViolation(

@@ -12,6 +12,11 @@
 
 Every model is provided both as a classical FAQ system and as the matching
 Lindblad model, so classical and quantum results can be cross-checked.
+
+The reference fields (oscillator_field, limit_cycle_field, rotator_field)
+take coordinate columns: an array with the modes on axis 0, shape (m,) for
+one point or (m, N) for N points, and return the velocities in the same
+shape.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import SeriesDivergence, TailNotNegligible
 from .faq import FaqSystem
 from .integrate import rk4_path
 from .lindblad import LindbladModel, adjoint_rate, expectation, stationary
-from .observables import PhasePoint, Polynomial
+from .observables import PhasePoint, Polynomial, _compile, _evaluate
 from .quantize import (
     FockSpace,
     OperatorMatrix,
@@ -114,11 +119,12 @@ def oscillator_faq(params: OscillatorParams) -> FaqSystem:
     return FaqSystem(1, h, (r,))
 
 
-def oscillator_field(params: OscillatorParams) -> Callable[[PhasePoint], np.ndarray]:
-    """The damped-oscillator drift -i omega0 z - lam (z - z*)."""
+def oscillator_field(params: OscillatorParams) -> Callable[[np.ndarray], np.ndarray]:
+    """The damped-oscillator drift -i omega0 z - lam (z - z*), on coordinate
+    columns."""
 
-    def field(point: PhasePoint) -> np.ndarray:
-        z = point.coords[0]
+    def field(coords: np.ndarray) -> np.ndarray:
+        z = coords[0]
         return np.array([-1j * params.omega0 * z - params.lam * (z - np.conj(z))])
 
     return field
@@ -173,11 +179,12 @@ def limit_cycle_faq(params: LimitCycleParams) -> FaqSystem:
     return FaqSystem(1, h, (r1, r2))
 
 
-def limit_cycle_field(params: LimitCycleParams) -> Callable[[PhasePoint], np.ndarray]:
-    """The cubic drift -i omega z + lam z - 2 mu z |z|^2."""
+def limit_cycle_field(params: LimitCycleParams) -> Callable[[np.ndarray], np.ndarray]:
+    """The cubic drift -i omega z + lam z - 2 mu z |z|^2, on coordinate
+    columns."""
 
-    def field(point: PhasePoint) -> np.ndarray:
-        z = point.coords[0]
+    def field(coords: np.ndarray) -> np.ndarray:
+        z = coords[0]
         return np.array([
             -1j * params.omega * z + params.lam * z - 2.0 * params.mu * z * abs(z) ** 2
         ])
@@ -357,11 +364,12 @@ def rotator_faq(params: RotatorParams) -> FaqSystem:
     return FaqSystem(2, h, (r,))
 
 
-def rotator_field(params: RotatorParams) -> Callable[[PhasePoint], np.ndarray]:
-    """dz1/dt = i omega1 z1 + lam z1 (z1* z2 - z2* z1) and the 1<->2 mirror."""
+def rotator_field(params: RotatorParams) -> Callable[[np.ndarray], np.ndarray]:
+    """dz1/dt = i omega1 z1 + lam z1 (z1* z2 - z2* z1) and the 1<->2 mirror,
+    on coordinate columns."""
 
-    def field(point: PhasePoint) -> np.ndarray:
-        z1, z2 = point.coords
+    def field(coords: np.ndarray) -> np.ndarray:
+        z1, z2 = coords
         w = np.conj(z1) * z2 - np.conj(z2) * z1
         return np.array([
             1j * params.omega1 * z1 + params.lam * z1 * w,
@@ -448,9 +456,14 @@ def rotator_spin_model(params: RotatorParams) -> LindbladModel:
 
 
 class SpinPolynomial:
-    """Polynomial in the real angular-momentum components (l_x, l_y, l_z)."""
+    """Polynomial in the real angular-momentum components (l_x, l_y, l_z).
 
-    __slots__ = ("terms",)
+    The terms and the three partial derivatives are compiled once, for the
+    evaluator of observables with the variables (l_x, l_y, l_z).  A point
+    l given as Python floats (`l.tolist()`) takes the fast scalar path.
+    """
+
+    __slots__ = ("terms", "_compiled", "_partials")
 
     def __init__(self, terms: Mapping[tuple[int, int, int], complex]):
         clean = {}
@@ -462,25 +475,26 @@ class SpinPolynomial:
             if coeff != 0:
                 clean[key] = clean.get(key, 0j) + coeff
         self.terms = {k: c for k, c in clean.items() if c != 0}
+        self._compiled = _compile(self.terms)
+        self._partials = tuple(
+            _compile({
+                key[:axis] + (key[axis] - 1,) + key[axis + 1:]: coeff * key[axis]
+                for key, coeff in self.terms.items()
+                if key[axis]
+            })
+            for axis in range(3)
+        )
 
     def evaluate(self, l: Sequence[float]) -> complex:
-        lx, ly, lz = l
-        total = 0j
-        for (i, j, k), coeff in self.terms.items():
-            total += coeff * lx**i * ly**j * lz**k
-        return total
+        """Value at l = (l_x, l_y, l_z): three scalars, or three columns."""
+        return _evaluate(self._compiled, l)
 
     def gradient(self, l: Sequence[float]) -> np.ndarray:
-        lx, ly, lz = l
-        grad = np.zeros(3, dtype=complex)
-        for (i, j, k), coeff in self.terms.items():
-            if i:
-                grad[0] += coeff * i * lx ** (i - 1) * ly**j * lz**k
-            if j:
-                grad[1] += coeff * j * lx**i * ly ** (j - 1) * lz**k
-            if k:
-                grad[2] += coeff * k * lx**i * ly**j * lz ** (k - 1)
-        return grad
+        """(d/dl_x, d/dl_y, d/dl_z) at one point l."""
+        return np.array(self._gradient_values(l), dtype=complex)
+
+    def _gradient_values(self, l: Sequence[float]) -> list:
+        return [_evaluate(partial, l) for partial in self._partials]
 
     def conjugate(self) -> "SpinPolynomial":
         return SpinPolynomial({key: coeff.conjugate() for key, coeff in self.terms.items()})
@@ -512,13 +526,14 @@ class SpinTrajectory:
         return np.sum(self.states**2, axis=1)
 
 
-def _cross(u, v) -> np.ndarray:
-    """u x v for two 3-vectors; np.cross costs about ten times more per pair."""
-    return np.array([
+def _cross(u, v) -> tuple:
+    """u x v for two 3-vectors, as a tuple of three scalars; on Python
+    scalars this costs a small fraction of np.cross."""
+    return (
         u[1] * v[2] - u[2] * v[1],
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
-    ])
+    )
 
 
 def classical_spin_flow(
@@ -540,11 +555,15 @@ def classical_spin_flow(
         raise ValueError("spin hamiltonian must have real coefficients")
 
     def field(_t, l):
-        grad_h = hamiltonian.gradient(l).real
-        r_value = channel.evaluate(l)
-        grad_r = channel.gradient(l)
-        dissipative = r_value * _cross(l, grad_r.conjugate())
-        return -_cross(l, grad_h) - 2.0 * dissipative.imag
+        point = l.tolist()
+        grad_h = [value.real for value in hamiltonian._gradient_values(point)]
+        r_value = channel.evaluate(point)
+        grad_r = [value.conjugate() for value in channel._gradient_values(point)]
+        # numpy's complex array product may fuse a multiply and an add, so
+        # it rounds unlike Python's; keeping this product on an array keeps
+        # the trajectory bit for bit what it has been.
+        dissipative = r_value * np.array(_cross(point, grad_r))
+        return -np.array(_cross(point, grad_h)) - 2.0 * dissipative.imag
 
     l0 = np.asarray(l0, dtype=float)
     if l0.shape != (3,):
@@ -762,8 +781,11 @@ def moment_equations_conformance(
     from the closed-form coefficient formulas used in deriving the
     stationary closure.  Deviations are recorded per equation; nothing is
     asserted here, so coefficient discrepancies in the quoted forms surface
-    as data instead of test failures.
+    as data instead of test failures.  At least one sample is required: a
+    report over no state would read as agreement.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     lx, ly, lz = rotator_spin_operators(params.l)
     model = rotator_spin_model(params)
     lam = params.lam

@@ -10,7 +10,16 @@ Terms are stored as a map from a multi-exponent key to a complex coefficient.
 The key for an m-mode polynomial is a tuple of 2m non-negative integers
 (k_1, l_1, ..., k_m, l_m) where k_a is the power of z_a and l_a the power of
 z*_a.  Coefficients that are exactly zero are dropped, so equality of term
-maps is structural equality of polynomials.
+maps is structural equality of polynomials.  A polynomial is not changed
+after it is built.
+
+Numeric evaluation runs on a compiled form made once per polynomial: a
+tuple of (coefficient, ((variable, exponent), ...)) pairs, one per term,
+with only the non-zero exponents and the variables numbered in key order
+z_1, z*_1, z_2, z*_2, ....  One term loop evaluates it over a list of
+variable columns (`_columns`).  A column is a Python scalar for one point,
+the fast form for single-point work such as an RK4 field, or a numpy array
+for N points at once; the same loop serves both.
 """
 
 from __future__ import annotations
@@ -55,15 +64,56 @@ class PhasePoint:
 
 def _as_coords(point, mode_count: int) -> np.ndarray:
     coords = point.coords if isinstance(point, PhasePoint) else np.atleast_1d(np.asarray(point, dtype=complex))
+    if coords.ndim != 1:
+        raise ValueError(f"a phase point is a 1-d sequence of coordinates, got shape {coords.shape}")
     if len(coords) != mode_count:
         raise ValueError(f"phase point has {len(coords)} modes, polynomial has {mode_count}")
     return coords
 
 
+def _columns(coords) -> list:
+    """Evaluator columns z_1, z*_1, z_2, z*_2, ... of per-mode coordinates.
+
+    `coords` holds one entry per mode: Python complex numbers for one point
+    (pass `coords.tolist()`), or the rows of an (m, N) array for N points.
+    """
+    columns = []
+    for z in coords:
+        columns += (z, z.conjugate())
+    return columns
+
+
+def _compile(terms: Mapping[tuple[int, ...], complex]) -> tuple:
+    """The evaluator form of a term map: one (coefficient, ((variable,
+    exponent), ...)) pair per term, non-zero exponents only, variables
+    numbered by their position in the key."""
+    return tuple(
+        (coeff, tuple((var, exponent) for var, exponent in enumerate(key) if exponent))
+        for key, coeff in terms.items()
+    )
+
+
+def _evaluate(compiled: tuple, columns) -> complex | np.ndarray:
+    """Sum of the compiled terms at variable columns.
+
+    `columns[v]` is the value of variable v: a scalar for one point, or an
+    array for N points, which gives an array of values (a scalar when no
+    term has a variable).  Factors multiply in variable order, then the
+    terms add in order.
+    """
+    total = 0j
+    for coeff, factors in compiled:
+        value = coeff
+        for var, exponent in factors:
+            value *= columns[var] ** exponent
+        total += value
+    return total
+
+
 class Polynomial:
     """Sparse complex polynomial in (z_a, z*_a), a = 1..mode_count."""
 
-    __slots__ = ("mode_count", "terms")
+    __slots__ = ("mode_count", "terms", "_compiled")
 
     def __init__(self, mode_count: int, terms: Mapping[tuple, complex] | None = None):
         if mode_count < 1:
@@ -89,6 +139,17 @@ class Polynomial:
                     else:
                         clean[key] = total
         self.terms = clean
+        self._compiled = _compile(clean)
+
+    @classmethod
+    def _of(cls, mode_count: int, terms: dict[tuple[int, ...], complex]) -> "Polynomial":
+        """A polynomial from a term map that is already clean: keys of the
+        right width, no zero coefficient."""
+        out = cls.__new__(cls)
+        out.mode_count = mode_count
+        out.terms = terms
+        out._compiled = _compile(terms)
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -166,16 +227,12 @@ class Polynomial:
                 terms.pop(key, None)
             else:
                 terms[key] = total
-        out = Polynomial(self.mode_count)
-        out.terms = terms
-        return out
+        return Polynomial._of(self.mode_count, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial(self.mode_count)
-        out.terms = {key: -coeff for key, coeff in self.terms.items()}
-        return out
+        return Polynomial._of(self.mode_count, {key: -coeff for key, coeff in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -192,9 +249,7 @@ class Polynomial:
             other = complex(other)
             if other == 0:
                 return Polynomial.zero(self.mode_count)
-            out = Polynomial(self.mode_count)
-            out.terms = {key: coeff * other for key, coeff in self.terms.items()}
-            return out
+            return Polynomial._of(self.mode_count, {key: coeff * other for key, coeff in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
@@ -207,9 +262,7 @@ class Polynomial:
                     terms.pop(key, None)
                 else:
                     terms[key] = total
-        out = Polynomial(self.mode_count)
-        out.terms = terms
-        return out
+        return Polynomial._of(self.mode_count, terms)
 
     __rmul__ = __mul__
 
@@ -231,9 +284,7 @@ class Polynomial:
             for a in range(self.mode_count):
                 swapped.extend((key[2 * a + 1], key[2 * a]))
             terms[tuple(swapped)] = coeff.conjugate()
-        out = Polynomial(self.mode_count)
-        out.terms = terms
-        return out
+        return Polynomial._of(self.mode_count, terms)
 
     def partial(self, mode: int, wrt: str = "z") -> "Polynomial":
         """Formal derivative with respect to z_mode or z*_mode.
@@ -255,28 +306,17 @@ class Polynomial:
                 continue
             new_key = key[:pos] + (e - 1,) + key[pos + 1:]
             terms[new_key] = terms.get(new_key, 0j) + e * coeff
-        out = Polynomial(self.mode_count)
-        out.terms = {k: c for k, c in terms.items() if c != 0}
-        return out
+        return Polynomial._of(self.mode_count, {k: c for k, c in terms.items() if c != 0})
 
     def evaluate(self, point) -> complex:
-        """Numeric value at a phase point; z* factors use the conjugate coordinate."""
-        coords = _as_coords(point, self.mode_count)
-        return self._evaluate_coords(coords, coords.conjugate())
+        """Numeric value at one phase point (a PhasePoint or mode_count
+        coordinates); z* factors use the conjugate coordinate."""
+        return self._evaluate_coords(_columns(_as_coords(point, self.mode_count).tolist()))
 
-    def _evaluate_coords(self, zs: np.ndarray, zcs: np.ndarray) -> complex:
-        total = 0j
-        for key, coeff in self.terms.items():
-            value = coeff
-            for a in range(self.mode_count):
-                k = key[2 * a]
-                l = key[2 * a + 1]
-                if k:
-                    value *= zs[a] ** k
-                if l:
-                    value *= zcs[a] ** l
-            total += value
-        return total
+    def _evaluate_coords(self, columns) -> complex | np.ndarray:
+        """Value at the variable columns of `_columns`: a complex number
+        for one point, an array for N points."""
+        return _evaluate(self._compiled, columns)
 
 
 def poisson_bracket(a: Polynomial, b: Polynomial) -> Polynomial:

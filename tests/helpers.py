@@ -7,7 +7,7 @@ import numpy as np
 
 from semiq import DegenerateStationaryState, DensityMatrix, NumericalFailure, OperatorMatrix, Polynomial
 from semiq.lindblad import POSITIVITY_TOL, liouvillian_matrix
-from semiq.models import MomentState
+from semiq.models import MomentState, SpinPolynomial
 
 
 def random_polynomial(rng, mode_count, max_degree, n_terms=6, integer=True):
@@ -26,6 +26,74 @@ def random_polynomial(rng, mode_count, max_degree, n_terms=6, integer=True):
         if coeff != 0:
             terms[key] = terms.get(key, 0) + coeff
     return Polynomial(mode_count, {k: c for k, c in terms.items() if c != 0})
+
+
+def magnitude_polynomial(poly):
+    """The polynomial with every coefficient replaced by its modulus.  At the
+    moduli of a point it gives the sum of the absolute term values, the
+    scale that rounding errors of an evaluation are measured against."""
+    return Polynomial(poly.mode_count, {key: abs(coeff) for key, coeff in poly.terms.items()})
+
+
+def evaluate_by_terms(poly, coords):
+    """Oracle for the compiled evaluator: the term-map loop at one point,
+    numpy coordinates, z* factors from the conjugate coordinate."""
+    zs = np.asarray(coords, dtype=complex)
+    zcs = zs.conjugate()
+    total = 0j
+    for key, coeff in poly.terms.items():
+        value = coeff
+        for a in range(poly.mode_count):
+            k = key[2 * a]
+            l = key[2 * a + 1]
+            if k:
+                value *= zs[a] ** k
+            if l:
+                value *= zcs[a] ** l
+        total += value
+    return total
+
+
+def verify_faq_by_point(system, field, samples):
+    """Oracle for verify_faq's max_abs_error: one sample point at a time,
+    the drift from evaluate_by_terms and the field called on one point."""
+    worst = 0.0
+    for row in np.asarray(samples, dtype=complex):
+        velocity = np.array([evaluate_by_terms(poly, row) for poly in system.drift_polynomials])
+        worst = max(worst, float(np.max(np.abs(velocity - np.asarray(field(row), dtype=complex)))))
+    return worst
+
+
+def random_spin_polynomial(rng, max_degree, n_terms=5):
+    terms = {}
+    for _ in range(n_terms):
+        key = tuple(int(e) for e in rng.integers(0, max_degree + 1, size=3))
+        terms[key] = complex(rng.standard_normal(), rng.standard_normal())
+    return SpinPolynomial(terms)
+
+
+def spin_evaluate_by_terms(poly, l):
+    """Oracle for SpinPolynomial.evaluate: the term-map loop."""
+    lx, ly, lz = l
+    total = 0j
+    for (i, j, k), coeff in poly.terms.items():
+        total += coeff * lx**i * ly**j * lz**k
+    return total
+
+
+def spin_gradient_by_terms(poly, l):
+    """Oracle for SpinPolynomial.gradient: the term-map loop with the
+    partial derivatives taken term by term."""
+    lx, ly, lz = l
+    grad = np.zeros(3, dtype=complex)
+    for (i, j, k), coeff in poly.terms.items():
+        if i:
+            grad[0] += coeff * i * lx ** (i - 1) * ly**j * lz**k
+        if j:
+            grad[1] += coeff * j * lx**i * ly ** (j - 1) * lz**k
+        if k:
+            grad[2] += coeff * k * lx**i * ly**j * lz ** (k - 1)
+    return grad
 
 
 def random_hermitian(rng, dim, scale=1.0):

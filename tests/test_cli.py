@@ -205,6 +205,12 @@ def flow_with(key, value):
     return config
 
 
+def conformance_with(key, value):
+    config = rotators_config("conformance")
+    config["numerics"][key] = value
+    return config
+
+
 def limit_cycle_with(section, key, value):
     config = limit_cycle_config()
     config[section][key] = value
@@ -259,6 +265,9 @@ def oscillator_with(key, value):
     (oscillator_with("validate.pos_tol", 0.0), "numerics.validate.pos_tol"),
     (limit_cycle_config(sweep={"numerics.validate.pos_tol": [1e-8, -1e-8]}), "numerics.validate.pos_tol[1]"),
     (limit_cycle_with("numerics", "faq_tol", -1e-12), "numerics.faq_tol"),
+    (flow_with("record_every", 0), "numerics.record_every"),
+    (conformance_with("n_samples", 0), "numerics.n_samples"),
+    (dict(rotators_config("conformance"), sweep={"numerics.tol": [1e-10, 0.0]}), "numerics.tol[1]"),
 ], ids=["null-required", "null-optional", "null-param", "null-sweep-value",
         "sweep-not-a-number", "sweep-list-for-int", "not-an-int", "fractional-int", "bool-for-int",
         "sweep-fractional-int", "bool-seed", "fractional-sample-every", "alpha-three-numbers",
@@ -268,7 +277,8 @@ def oscillator_with(key, value):
         "rotators-above-limit", "conformance-half-spin", "limit-cycle-zero-mu", "sweep-zero-mu",
         "limit-cycle-dim-below-min", "sweep-limit-cycle-dim-below-min", "n-max-below-min",
         "oscillator-dim-below-min", "zero-faq-points", "sweep-zero-faq-points", "negative-null-tol",
-        "sweep-null-tol-one", "zero-pos-tol", "sweep-negative-pos-tol", "negative-faq-tol"])
+        "sweep-null-tol-one", "zero-pos-tol", "sweep-negative-pos-tol", "negative-faq-tol",
+        "zero-record-every", "zero-conformance-samples", "sweep-zero-conformance-tol"])
 def test_bad_value_rejected_before_run(tmp_path, capsys, config, named):
     assert_rejected_before_run(tmp_path, capsys, config, named)
 

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from helpers import evaluate_by_terms, verify_faq_by_point
 from semiq import (
     FaqSystem,
     FlowDiverged,
@@ -21,6 +22,7 @@ from semiq.models import (
     OscillatorParams,
     RotatorParams,
     limit_cycle_faq,
+    limit_cycle_field,
     oscillator_faq,
     oscillator_field,
     rotator_faq,
@@ -73,8 +75,7 @@ def test_drift_equals_real_coordinate_assembly():
     for system, modes in all_systems():
         points = rng_points if modes == 2 else sample_phase_points(1, 20, seed=100)
         conjugates = [r.conjugate() for r in system.channels]
-        for point in points:
-            coords = point.coords
+        for coords in points:
 
             def dx(poly, mode):
                 return (
@@ -88,7 +89,7 @@ def test_drift_equals_real_coordinate_assembly():
                     - poly.partial(mode, "zc").evaluate(coords)
                 ) / ROOT2
 
-            value = drift(system, point)
+            value = drift(system, coords)
             for mode in range(modes):
                 a_val = dy(system.hamiltonian, mode)
                 b_val = -dx(system.hamiltonian, mode)
@@ -130,12 +131,12 @@ def test_verify_detects_wrong_field():
     params = OscillatorParams(1.0, 0.3, 0.0)
     samples = sample_phase_points(1, 50, seed=44)
 
-    def wrong_field(point):
-        return np.array([-1j * params.omega0 * point.coords[0]])
+    def wrong_field(coords):
+        return np.array([-1j * params.omega0 * coords[0]])
 
     check = verify_faq(oscillator_faq(params), wrong_field, samples, 1e-12)
     assert not check.passed
-    expected = max(abs(params.lam * (p.coords[0] - np.conj(p.coords[0]))) for p in samples)
+    expected = max(abs(params.lam * (z - np.conj(z))) for [z] in samples)
     assert check.max_abs_error == pytest.approx(expected, rel=1e-12)
 
 
@@ -153,6 +154,41 @@ def test_verify_needs_samples():
     params = OscillatorParams(1.0, 0.3, 0.0)
     with pytest.raises(ValueError):
         verify_faq(oscillator_faq(params), oscillator_field(params), [], 1e-12)
+
+
+def test_verify_rejects_mismatched_shapes():
+    params = OscillatorParams(1.0, 0.3, 0.0)
+    system = oscillator_faq(params)
+    with pytest.raises(ValueError, match="samples"):
+        verify_faq(system, oscillator_field(params), sample_phase_points(2, 5, seed=47), 1e-12)
+    with pytest.raises(ValueError, match="field returned shape"):
+        verify_faq(system, lambda coords: coords[0], sample_phase_points(1, 5, seed=47), 1e-12)
+
+
+def test_verify_matches_point_by_point_oracle():
+    """One pass over all sample columns gives the max deviation of the
+    per-point loop, for each model's own field and for a field detuned by
+    0.1, to 1e-15 relative to the largest drift component."""
+    oscillator = OscillatorParams(1.0, 0.3, 0.7)
+    limit_cycle = LimitCycleParams(1.0, 0.8, 0.5)
+    rotator = RotatorParams(1.1, 0.9, 0.2)
+    cases = [
+        (oscillator_faq(oscillator), oscillator_field(oscillator), 1),
+        (limit_cycle_faq(limit_cycle), limit_cycle_field(limit_cycle), 1),
+        (rotator_faq(rotator), rotator_field(rotator), 2),
+    ]
+    for system, field, modes in cases:
+        samples = sample_phase_points(modes, 100, seed=46)
+        scale = max(abs(evaluate_by_terms(poly, row)) for row in samples for poly in system.drift_polynomials)
+
+        def detuned(coords, field=field):
+            return field(coords) + 0.1j * coords
+
+        own = verify_faq(system, field, samples, 1e-12)
+        off = verify_faq(system, detuned, samples, 1e-12)
+        assert own.passed and not off.passed and off.n_samples == 100
+        assert abs(own.max_abs_error - verify_faq_by_point(system, field, samples)) <= 1e-15 * scale
+        assert abs(off.max_abs_error - verify_faq_by_point(system, detuned, samples)) <= 1e-15 * scale
 
 
 # -- classical flow ---------------------------------------------------------------
@@ -182,6 +218,8 @@ def test_flow_rejects_bad_steps():
         classical_flow(system, [1.0], 1.0, 0.0)
     with pytest.raises(ValueError):
         classical_flow(system, [1.0], -1.0, 0.1)
+    with pytest.raises(ValueError, match="record_every"):
+        classical_flow(system, [1.0], 1.0, 0.1, record_every=0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -208,8 +246,7 @@ def test_divergence_oscillator_constant():
 def test_divergence_matches_finite_difference():
     h = 1e-5
     for system, modes in all_systems():
-        for point in sample_phase_points(modes, 50, seed=50):
-            coords = point.coords
+        for coords in sample_phase_points(modes, 50, seed=50):
             fd = 0.0
             for mode in range(modes):
                 dx = np.zeros(modes, complex)
@@ -222,7 +259,7 @@ def test_divergence_matches_finite_difference():
                 fd += ROOT2 * np.imag(
                     (drift(system, coords + dy)[mode] - drift(system, coords - dy)[mode]) / (2 * h)
                 )
-            assert abs(phase_divergence(system, point) - fd) <= 1e-6
+            assert abs(phase_divergence(system, coords) - fd) <= 1e-6
 
 
 def test_divergence_matches_transport_coefficient():
@@ -230,8 +267,7 @@ def test_divergence_matches_transport_coefficient():
     2i sum (dR/dy dR~/dx - dR/dx dR~/dy) assembled from x/y partials."""
     for system, modes in all_systems():
         conjugates = [r.conjugate() for r in system.channels]
-        for point in sample_phase_points(modes, 50, seed=51):
-            coords = point.coords
+        for coords in sample_phase_points(modes, 50, seed=51):
             total = 0j
             for r, rbar in zip(system.channels, conjugates):
                 for mode in range(modes):
@@ -241,7 +277,7 @@ def test_divergence_matches_transport_coefficient():
                     by = 1j * (rbar.partial(mode, "z").evaluate(coords) - rbar.partial(mode, "zc").evaluate(coords)) / ROOT2
                     total += 2j * (ry * bx - rx * by)
             assert abs(total.imag) <= 1e-10
-            assert abs(phase_divergence(system, point) - total.real) <= 1e-10
+            assert abs(phase_divergence(system, coords) - total.real) <= 1e-10
 
 
 # -- ensemble weights ---------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_polynomial
+from helpers import evaluate_by_terms, magnitude_polynomial, random_polynomial
 from semiq import (
     PhasePoint,
     Polynomial,
@@ -9,6 +9,7 @@ from semiq import (
     parse_polynomial,
     poisson_bracket,
 )
+from semiq.observables import _columns
 
 
 def z(mode=0, modes=1):
@@ -102,6 +103,8 @@ def test_evaluate_examples():
 def test_evaluate_dimension_mismatch():
     with pytest.raises(ValueError):
         z().evaluate([1.0, 2.0])
+    with pytest.raises(ValueError, match="1-d"):
+        z().evaluate([[1.0, 2.0]])
 
 
 def test_phase_point_validation():
@@ -181,6 +184,27 @@ def test_partial_matches_finite_difference():
         assert abs(p.partial(0, "z").evaluate([z0]) - fd) <= 1e-8
         fd_c = (value(z0, w0 + h) - value(z0, w0 - h)) / (2 * h)
         assert abs(p.partial(0, "zc").evaluate([z0]) - fd_c) <= 1e-8
+
+
+def test_compiled_evaluator_matches_term_loop():
+    """The compiled evaluator against the term-map loop, on Python-scalar
+    columns (one point) and on (m, 50) array columns (50 points at once), to
+    1e-15 relative to the sum of the absolute term values."""
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        modes = int(rng.integers(1, 4))
+        poly = random_polynomial(rng, modes, 6, n_terms=8, integer=False)
+        coords = rng.uniform(0.2, 1.5, size=(modes, 50)) * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(modes, 50)))
+        points = coords.T
+        expected = np.array([evaluate_by_terms(poly, point) for point in points])
+        magnitude = magnitude_polynomial(poly)
+        scale = np.array([evaluate_by_terms(magnitude, np.abs(point)).real for point in points])
+        by_columns = poly._evaluate_coords(_columns(coords))
+        by_point = np.array([poly._evaluate_coords(_columns(point.tolist())) for point in points])
+        assert np.all(np.abs(by_columns - expected) <= 1e-15 * scale)
+        assert np.all(np.abs(by_point - expected) <= 1e-15 * scale)
+        assert poly.evaluate(points[0]) == by_point[0]
+        assert poly.evaluate(PhasePoint(points[0])) == by_point[0]
 
 
 # -- text form ----------------------------------------------------------------

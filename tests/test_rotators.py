@@ -3,7 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from helpers import newton_closure
+from helpers import newton_closure, random_spin_polynomial, spin_evaluate_by_terms, spin_gradient_by_terms
 from semiq import (
     DensityMatrix,
     FockSpace,
@@ -59,7 +59,7 @@ def test_weak_coupling_limit_decouples():
     tiny = RotatorParams(1.3, 0.7, 1e-12)
     field = rotator_field(tiny)
     for point in sample_phase_points(2, 20, seed=64):
-        z1, z2 = point.coords
+        z1, z2 = point
         free = np.array([1.3j * z1, 0.7j * z2])
         assert np.max(np.abs(field(point) - free)) <= 1e-10
         from semiq import drift
@@ -147,6 +147,29 @@ def test_spin_flow_field_closed_form():
         velocity = -np.cross(l, grad_h) - 2.0 * (r_val * np.cross(l, grad_r.conjugate())).imag
         expected = np.array([4 * lam * l[1] ** 2, -4 * lam * l[0] * l[1], 0.0])
         assert np.max(np.abs(velocity - expected)) <= 1e-12
+
+
+def test_spin_polynomial_matches_term_loop():
+    """The compiled spin polynomial and its compiled partials against the
+    term-map loops, at points given as numpy arrays and as Python floats, to
+    1e-15 relative to the sum of the absolute term values; evaluate also on
+    (3, 20) coordinate columns."""
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        poly = random_spin_polynomial(rng, 4)
+        magnitude = SpinPolynomial({key: abs(coeff) for key, coeff in poly.terms.items()})
+        l = rng.uniform(-1.5, 1.5, size=3)
+        scale = max(spin_evaluate_by_terms(magnitude, np.abs(l)).real,
+                    np.max(spin_gradient_by_terms(magnitude, np.abs(l)).real))
+        expected = spin_gradient_by_terms(poly, l)
+        for point in (l, l.tolist()):
+            assert np.max(np.abs(poly.gradient(point) - expected)) <= 1e-15 * scale
+            assert abs(poly.evaluate(point) - spin_evaluate_by_terms(poly, l)) <= 1e-15 * scale
+        columns = rng.uniform(-1.5, 1.5, size=(3, 20))
+        values = poly.evaluate(columns)
+        for j in range(20):
+            column_scale = spin_evaluate_by_terms(magnitude, np.abs(columns[:, j])).real
+            assert abs(values[j] - spin_evaluate_by_terms(poly, columns[:, j])) <= 1e-15 * column_scale
 
 
 def test_cross_product_matches_numpy():
@@ -324,6 +347,11 @@ def test_moment_equation_conformance_report():
         assert report.line(name).max_abs_deviation <= 1e-10
     for name in ("ly^2", "lz^2", "sym(lx,ly)"):
         assert np.isfinite(report.line(name).max_abs_deviation)
+
+
+def test_conformance_needs_samples():
+    with pytest.raises(ValueError, match="n_samples"):
+        moment_equations_conformance(RotatorParams(1.05, 0.95, 0.3, l=2), n_samples=0)
 
 
 def test_rotator_parameter_validation():
