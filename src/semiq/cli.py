@@ -49,7 +49,7 @@ from .errors import NumericalFailure
 from .faq import ensemble_weights, export_trajectory_csv, sample_phase_points, verify_faq
 from .lindblad import DensityMatrix, evolve, stationary
 from .observables import PhasePoint
-from .quantize import annihilation, export_operator_csv, number
+from .quantize import FockSpace, annihilation, export_operator_csv, number
 
 __all__ = ["main", "entry", "validate_config", "resolve_config", "run_config"]
 
@@ -299,8 +299,10 @@ def _grid_problems(experiment: str, numerics, sweep) -> list[str]:
 
 def _params_problems(resolved: dict) -> list[str]:
     """Model parameters that the model's params dataclass rejects, at every
-    point of the sweep grid over params keys, and rotators spin sizes above
-    the exact-solve limit."""
+    point of the sweep grid over params keys, and the values a run's
+    baseline rejects: rotators spin sizes above the exact-solve limit and a
+    limit-cycle gain lambda that is not positive (recurrence_stationary
+    needs nu > 0)."""
     experiment = resolved["experiment"]
     if experiment == "classical-flow":
         name = resolved["params"]["model"]
@@ -321,6 +323,10 @@ def _params_problems(resolved: dict) -> list[str]:
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
             continue
+        if experiment == "limit-cycle" and not params.nu > 0:
+            problems.append(
+                f"{where}: params.lambda must be positive; the stationary baseline needs nu = lambda / mu > 0"
+            )
         if experiment == "rotators" and params.l > models.EXACT_SPIN_L_MAX:
             problems.append(
                 f"{where}: params.l {params.l!r} exceeds the exact stationary solve limit l <= {models.EXACT_SPIN_L_MAX}"
@@ -482,7 +488,7 @@ def _run_oscillator(resolved: dict, out_dir: Path | None) -> dict:
     dt = n["evolve.dt"]
     t_end = n["t_end"]
     alpha = complex(n["alpha"][0], n["alpha"][1])
-    model = models.oscillator_lindblad(params, dim)
+    model = models.quantized_lindblad(system, FockSpace((dim,)))
     rho0 = DensityMatrix.coherent_state(dim, alpha)
     a_op = annihilation(dim)
     sample_every = n["sample_every"] or None
@@ -506,6 +512,7 @@ def _run_oscillator(resolved: dict, out_dir: Path | None) -> dict:
         "max_trace_deviation": result.max_trace_deviation,
         "max_hermiticity_deviation": result.max_hermiticity_deviation,
         "min_eigenvalue": result.min_eigenvalue,
+        "top_level_population": result.top_level_population,
     })
     if out_dir is not None:
         export_trajectory_csv(trajectory, out_dir / "classical.csv", weights)
@@ -518,10 +525,10 @@ def _run_oscillator(resolved: dict, out_dir: Path | None) -> dict:
 
 def _run_limit_cycle(resolved: dict, out_dir: Path | None) -> dict:
     n = resolved["numerics"]
-    params, _system, summary = _checked_model("limit-cycle", resolved)
+    params, system, summary = _checked_model("limit-cycle", resolved)
     dim = n["dim"]
     distribution = models.recurrence_stationary(params.nu, n["n_max"])
-    model = models.limit_cycle_lindblad(params, dim)
+    model = models.quantized_lindblad(system, FockSpace((dim,)))
     state = stationary(model, null_tol=n["stationary.null_tol"], pos_tol=n["validate.pos_tol"])
     diag = np.diag(state.mat).real
     off = state.mat - np.diag(np.diag(state.mat))
@@ -532,6 +539,7 @@ def _run_limit_cycle(resolved: dict, out_dir: Path | None) -> dict:
         "mandel_q": models.mandel_q(params.nu),
         "diag_max_error": float(np.max(np.abs(diag[:n_common] - distribution[:n_common]))),
         "offdiag_max": float(np.max(np.abs(off))),
+        "recurrence_tail": float(distribution[-1]),
     })
     if out_dir is not None:
         size = max(len(distribution), dim)

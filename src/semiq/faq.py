@@ -26,6 +26,7 @@ of the array that sample_phase_points returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,6 +91,16 @@ class FaqSystem:
     def drift_polynomials(self) -> tuple[Polynomial, ...]:
         """The per-mode drift as exact polynomials in (z, z*)."""
         return self._drift_polys
+
+    @cached_property
+    def _channel_partials(self) -> tuple[tuple[Polynomial, Polynomial], ...]:
+        """(dR/dz*_a, dR/dz_a) for every channel R and mode a, channel-major;
+        built on first use, for phase_divergence and ensemble_weights."""
+        return tuple(
+            (channel.partial(mode, "zc"), channel.partial(mode, "z"))
+            for channel in self.channels
+            for mode in range(self.mode_count)
+        )
 
 
 @dataclass(frozen=True)
@@ -200,15 +211,6 @@ def classical_flow(system: FaqSystem, z0, t_end: float, dt: float, record_every:
     return Trajectory(times, states)
 
 
-def _channel_partials(system: FaqSystem) -> list[tuple[Polynomial, Polynomial]]:
-    """(dR/dz*_a, dR/dz_a) for every channel R and mode a, channel-major."""
-    return [
-        (channel.partial(mode, "zc"), channel.partial(mode, "z"))
-        for channel in system.channels
-        for mode in range(system.mode_count)
-    ]
-
-
 def _divergence(partials: Sequence[tuple[Polynomial, Polynomial]], columns: list) -> float:
     """Sum of 2 (|dR/dz*_a|^2 - |dR/dz_a|^2) at one point's scalar columns."""
     total = 0.0
@@ -225,7 +227,7 @@ def phase_divergence(system: FaqSystem, point) -> float:
     divergence of the dissipative part of the drift.
     """
     columns = _columns(_as_coords(point, system.mode_count).tolist())
-    return _divergence(_channel_partials(system), columns)
+    return _divergence(system._channel_partials, columns)
 
 
 def ensemble_weights(
@@ -244,7 +246,7 @@ def ensemble_weights(
     """
     m = system.mode_count
     polys = system.drift_polynomials
-    partials = _channel_partials(system)
+    partials = system._channel_partials
 
     def field(_t, y):
         columns = _columns(y.tolist()[:m])

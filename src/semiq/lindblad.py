@@ -17,7 +17,7 @@ K = -i H - sum_j R_j+ R_j, built once per model:
     d rho/dt = K rho + rho K+ + 2 sum_j R_j rho R_j+.
 
 This form is linear on every operator and serves lindblad_rhs and the
-stationary residual.  Time evolution uses M + M+ with
+stationary residual.  Time evolution uses the Hermitian form M + M+ with
 M = K rho + sum_j R_j rho R_j+, which equals the generator on a Hermitian
 rho and is Hermitian to the last bit.
 
@@ -30,12 +30,24 @@ diagonals k, l of one channel give R rho R+ at shift k d + l with weight
 v_k[i] conj(v_l[j]).  Terms with the same flat shift are summed into one
 weight, which is zero wherever the shift leaves the matrix, so a read that
 wraps to another row adds nothing.  Each of the P distinct shifts costs two
-element-wise operations on a contiguous slice, O(P d^2) in all.  The
-one-channel oscillator's Hermitian form has 4 terms and takes 30-32 us a
-call at d = 40 and 75-80 us at d = 80, against 58-64 and 274-282 us for
-the matrix products it replaced (2-core VM, numpy 2.4 with OpenBLAS).  A
-dense operator makes P ~ d^2, so the stencil suits the banded generators
-that quantized polynomials give.
+element-wise operations on a contiguous slice, O(P d^2) in all.  A dense
+operator makes P ~ d^2, so the stencil suits the banded generators that
+quantized polynomials give.
+
+The generator L is linear and constant in time, so one RK4 step is the
+polynomial rho -> P(hL) rho with P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24.
+evolve applies it in Horner form, four stages u <- rho + c L(u) with
+c = h/4, h/3, h/2, h, starting from u = rho.  Each stage is one pass of the
+stencil of M, its weights scaled by c once per call, into
+m = rho/2 + c M(u), and then u = m + m+ in place; the buffers are
+allocated once per call.  Every stage is thus exactly Hermitian, and a
+step rounds within 1e-15 relative of the classical four-stage RK4 over
+M + M+.  The one-channel oscillator's Hermitian form has 4 terms; a whole
+evolve run of it, 200 samples included, takes 75-112 us a step at d = 40
+and 520-790 us at d = 80, against 101-154 and 560-930 us when each step
+called the classical RK4 with its k1 ... k4 combination (medians of two
+sets of alternating runs on a 2-core VM whose speed moves between two
+levels, numpy 2.4 with OpenBLAS).
 
 Stationary states are solved per sector of the vectorized generator, one
 block per mirror pair.  The generator maps rho+ to L(rho)+, so the
@@ -45,6 +57,19 @@ have the same singular values.  The block of a sector that holds diagonal
 positions is its own mirror.  A number-covariant model such as the limit
 cycle has 2 dim - 1 sectors but dim such pairs, so it takes dim block
 inverses.
+
+stationary runs on one thread of numpy's OpenBLAS (_blas.blas_threads) and
+restores the thread count after.  A threaded LU or dot product splits its
+sums by thread, so the last bits of a threaded solve depend on the thread
+count: the spin rotator's x_exact at l = 7..10 (blocks of 221 rows) moved
+by up to 5e-15 relative between one and two threads.  A threaded call also
+waits for a core whenever another BLAS pool in the process spins, as
+scipy's does for a while after its own calls.  On a 2-core VM a whole
+rotators.json run, l = 1..10, took 0.065 or 0.145 s with two threads when
+it followed scipy calls, against about 0.05 s on one thread either way and
+0.04 s on two without them.  Blocks of 441 rows and more invert faster on
+two threads (19 against 31 ms at 441), which only spin sizes l >= 15
+reach.
 """
 
 from __future__ import annotations
@@ -55,8 +80,9 @@ from typing import Mapping
 
 import numpy as np
 
+from ._blas import blas_threads
 from .errors import DegenerateStationaryState, NumericalFailure, PositivityViolation
-from .integrate import _step_count, rk4_step
+from .integrate import _step_count
 from .quantize import FockSpace, OperatorMatrix, SpinRep
 
 __all__ = [
@@ -189,13 +215,6 @@ class LindbladModel:
         """K rho + rho K+ + 2 sum_j R_j rho R_j+: linear on any operator."""
         return _apply_stencil(self._general_stencil, rho)
 
-    def _rhs_hermitian(self, rho: np.ndarray) -> np.ndarray:
-        """M + M+ with M = K rho + sum_j R_j rho R_j+.  Equals _rhs_mat only
-        on a Hermitian rho, and the result is exactly Hermitian whatever the
-        rounding in M."""
-        m = _apply_stencil(self._hermitian_stencil, rho)
-        return m + m.conj().T
-
 
 def _diagonals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Offsets k of the non-zero diagonals of mat, ascending, and one row
@@ -264,12 +283,17 @@ def lindblad_rhs(model: LindbladModel, rho: OperatorMatrix | DensityMatrix) -> O
 
 @dataclass(frozen=True)
 class EvolveResult:
+    """What evolve returns.  The monitors are taken over the samples;
+    top_level_population is the largest population of the last basis state,
+    the top level of a Fock cut, which a cut too small for the state fills."""
+
     final: DensityMatrix
     times: np.ndarray
     expectations: dict[str, np.ndarray]
     max_trace_deviation: float
     max_hermiticity_deviation: float
     min_eigenvalue: float
+    top_level_population: float
 
 
 def evolve(
@@ -282,13 +306,15 @@ def evolve(
     pos_abort_tol: float = 1e-6,
     validate_pos_tol: float = POSITIVITY_TOL,
 ) -> EvolveResult:
-    """Fixed-step RK4 integration of the master equation.
+    """Fixed-step RK4 integration of the master equation, each step the
+    Horner form of the RK4 polynomial (see the module notes).
 
     Expectations of the named observables are sampled every `sample_every`
-    steps (default: about 200 samples per run).  Trace, Hermiticity and
-    positivity are monitored at the samples; an eigenvalue below
-    -pos_abort_tol aborts, which signals that the step is too large or the
-    Fock truncation too small for this state.
+    steps (default: about 200 samples per run).  Trace, Hermiticity,
+    positivity and the population of the last basis state are monitored at
+    the samples; an eigenvalue below -pos_abort_tol aborts, which signals
+    that the step is too large or the Fock truncation too small for this
+    state, and so does a non-finite entry after any step.
     """
     n_steps = _step_count(t_end, dt)
     if rho0.dim != model.dim:
@@ -300,21 +326,39 @@ def evolve(
         if op.dim != model.dim:
             raise ValueError(f"observable {name!r} dimension mismatch")
 
-    # RK4 combines stages element-wise with real weights, so a Hermitian
-    # start keeps every stage exactly Hermitian, as _rhs_hermitian requires.
+    # The Horner stages u <- rho + c L(u) of the module notes.  A stage
+    # writes m = rho/2 + c M(u), then u = m + m+, which equals rho + c L(u)
+    # because rho is Hermitian.  Each stencil term holds the read window
+    # [a, b) of u's flat view, its weight scaled by c, and the views of the
+    # product scratch and of m that it writes.
+    d = model.dim
+    m = np.empty((d, d), dtype=complex)
+    mirror = np.empty_like(m)
+    scratch = np.empty(d * d, dtype=complex)
+    m_flat = m.reshape(-1)
+    stages = [
+        tuple(
+            (lo + shift, hi + shift, c * weight, scratch[:hi - lo], m_flat[lo:hi])
+            for shift, lo, hi, weight in model._hermitian_stencil
+        )
+        for c in (dt / 4.0, dt / 3.0, dt / 2.0, dt)
+    ]
     rho = (rho0.mat + rho0.mat.conj().T) / 2.0
+    u = np.empty_like(rho)
     times = [0.0]
     samples: dict[str, list[complex]] = {name: [] for name in observables}
     max_trace_dev = 0.0
     max_herm_dev = 0.0
     min_eig_seen = np.inf
+    top_population = 0.0
 
     def record(t: float, mat: np.ndarray):
-        nonlocal max_trace_dev, max_herm_dev, min_eig_seen
+        nonlocal max_trace_dev, max_herm_dev, min_eig_seen, top_population
         for name, op in observables.items():
             samples[name].append(_trace_product(mat, op.mat))
         max_trace_dev = max(max_trace_dev, abs(np.trace(mat) - 1.0))
         max_herm_dev = max(max_herm_dev, float(np.max(np.abs(mat - mat.conj().T))))
+        top_population = max(top_population, float(mat[-1, -1].real))
         # mat is exactly Hermitian (see above), so it goes to eigvalsh as is.
         min_eig = float(np.linalg.eigvalsh(mat).min())
         min_eig_seen = min(min_eig_seen, min_eig)
@@ -325,12 +369,20 @@ def evolve(
 
     record(0.0, rho)
 
-    def field(_t, mat):
-        return model._rhs_hermitian(mat)
-
     for step in range(1, n_steps + 1):
-        rho = rk4_step(field, (step - 1) * dt, rho, dt)
-        if not np.all(np.isfinite(rho)):
+        source = rho.reshape(-1)
+        for stage in stages:
+            np.multiply(rho, 0.5, out=m)
+            for a, b, weight, product, target in stage:
+                np.multiply(weight, source[a:b], out=product)
+                np.add(target, product, out=target)
+            np.conjugate(m.T, out=mirror)
+            np.add(m, mirror, out=u)
+            source = u.reshape(-1)
+        rho, u = u, rho
+        # sum |rho_ij|^2 is non-finite whenever an entry is, and overflows
+        # long before any density matrix could reach it
+        if not np.isfinite(np.vdot(rho, rho).real):
             raise PositivityViolation(f"non-finite density matrix at t={step * dt:.6g}")
         if step % sample_every == 0 or step == n_steps:
             times.append(step * dt)
@@ -344,6 +396,7 @@ def evolve(
         max_trace_deviation=float(max_trace_dev),
         max_hermiticity_deviation=float(max_herm_dev),
         min_eigenvalue=float(min_eig_seen),
+        top_level_population=top_population,
     )
 
 
@@ -421,6 +474,7 @@ def liouvillian_matrix(model: LindbladModel, positions: np.ndarray | None = None
     return out
 
 
+@blas_threads(1)
 def stationary(
     model: LindbladModel,
     null_tol: float = 1e-10,
@@ -453,6 +507,9 @@ def stationary(
     bound; a sector with diagonal positions is its own mirror.  A
     number-covariant model thus takes dim inverses instead of 2 dim - 1.
     A null_tol outside (0, 1) raises ValueError.
+
+    The solve runs on one thread of numpy's OpenBLAS (see the module
+    notes), so its result does not depend on the machine's core count.
     """
     if not 0.0 < null_tol < 1.0:
         raise ValueError(f"null_tol must lie in (0, 1), got {null_tol!r}")

@@ -50,6 +50,7 @@ __all__ = [
     "oscillator_field",
     "OSCILLATOR_DIM_MIN",
     "oscillator_lindblad",
+    "quantized_lindblad",
     "limit_cycle_faq",
     "limit_cycle_field",
     "LIMIT_CYCLE_DIM_MIN",
@@ -134,15 +135,20 @@ def oscillator_field(params: OscillatorParams) -> Callable[[np.ndarray], np.ndar
 OSCILLATOR_DIM_MIN = 2
 
 
+def quantized_lindblad(system: FaqSystem, space: FockSpace) -> LindbladModel:
+    """The Lindblad model of an FAQ system: H and every channel R_j
+    quantized in normal order on the given Fock space."""
+    return LindbladModel(
+        normal_quantize(system.hamiltonian, space),
+        tuple(normal_quantize(channel, space) for channel in system.channels),
+    )
+
+
 def oscillator_lindblad(params: OscillatorParams, dim: int) -> LindbladModel:
     """Quantized model with H and R in normal-ordered form."""
     if dim < OSCILLATOR_DIM_MIN:
         raise ValueError(f"dim must be at least {OSCILLATOR_DIM_MIN}")
-    system = oscillator_faq(params)
-    space = FockSpace((dim,))
-    h = normal_quantize(system.hamiltonian, space)
-    r = normal_quantize(system.channels[0], space)
-    return LindbladModel(h, (r,))
+    return quantized_lindblad(oscillator_faq(params), FockSpace((dim,)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +206,7 @@ def limit_cycle_lindblad(params: LimitCycleParams, dim: int) -> LindbladModel:
     """Quantized model: H = omega a+ a, R1 = sqrt(lam) a+, R2 = sqrt(mu) a^2."""
     if dim < LIMIT_CYCLE_DIM_MIN:
         raise ValueError(f"dim must be at least {LIMIT_CYCLE_DIM_MIN} for the two-photon channel")
-    system = limit_cycle_faq(params)
-    space = FockSpace((dim,))
-    h = normal_quantize(system.hamiltonian, space)
-    channels = tuple(normal_quantize(r, space) for r in system.channels)
-    return LindbladModel(h, channels)
+    return quantized_lindblad(limit_cycle_faq(params), FockSpace((dim,)))
 
 
 # Smallest truncation n_max of the stationary recurrence.

@@ -6,7 +6,8 @@ import csv
 import numpy as np
 
 from semiq import DegenerateStationaryState, DensityMatrix, NumericalFailure, OperatorMatrix, Polynomial
-from semiq.lindblad import POSITIVITY_TOL, liouvillian_matrix
+from semiq.integrate import rk4_step
+from semiq.lindblad import POSITIVITY_TOL, _apply_stencil, liouvillian_matrix
 from semiq.models import MomentState, SpinPolynomial
 
 
@@ -187,6 +188,20 @@ def commutator_rhs(model, rho):
         rdr = r_dag @ r
         out += 2.0 * (r @ rho @ r_dag) - rdr @ rho - rho @ rdr
     return out
+
+
+def hermitian_rhs(model, rho):
+    """The Hermitian form of the generator, M + M+ with
+    M = K rho + sum_j R_j rho R_j+, from the stencil evolve runs.  It equals
+    the generator on a Hermitian rho and is exactly Hermitian."""
+    m = _apply_stencil(model._hermitian_stencil, rho)
+    return m + m.conj().T
+
+
+def hermitian_rk4_step(model, rho, dt):
+    """Oracle for one evolve step: the classical RK4 step over the Hermitian
+    form, stages combined as k1 + 2 k2 + 2 k3 + k4."""
+    return rk4_step(lambda _t, mat: hermitian_rhs(model, mat), 0.0, rho, dt)
 
 
 def svd_stationary(model, null_tol=1e-10, residual_tol=1e-10, pos_tol=POSITIVITY_TOL):

@@ -7,6 +7,7 @@ import pytest
 
 from semiq import cli
 from semiq.cli import _config_hash, main, resolve_config, validate_config
+from semiq.faq import FaqSystem
 from semiq.models import (
     EXACT_SPIN_L_MAX,
     LIMIT_CYCLE_DIM_MIN,
@@ -254,6 +255,8 @@ def oscillator_with(key, value):
     (rotators_config("conformance", l=0.5), "spin l must be at least 1"),
     (limit_cycle_with("params", "mu", 0), "mu must be positive"),
     (limit_cycle_config(sweep={"params.mu": [1.0, 0.0]}), "params.mu=0.0"),
+    (limit_cycle_with("params", "lambda", 0.0), "params.lambda must be positive"),
+    (limit_cycle_config(sweep={"params.lambda": [0.0, 0.5]}), "params.lambda=0.0"),
     (limit_cycle_with("numerics", "dim", LIMIT_CYCLE_DIM_MIN - 1), "numerics.dim"),
     (limit_cycle_config(sweep={"numerics.dim": [12, LIMIT_CYCLE_DIM_MIN - 1]}), "numerics.dim[1]"),
     (limit_cycle_with("numerics", "n_max", RECURRENCE_N_MAX_MIN - 1), "numerics.n_max"),
@@ -275,6 +278,7 @@ def oscillator_with(key, value):
         "sweep-nan", "zero-step", "negative-t-end", "nan-initial", "bool-initial",
         "rotators-half-spin", "rotators-fractional-2l", "rotators-negative-lambda",
         "rotators-above-limit", "conformance-half-spin", "limit-cycle-zero-mu", "sweep-zero-mu",
+        "limit-cycle-zero-lambda", "sweep-zero-lambda",
         "limit-cycle-dim-below-min", "sweep-limit-cycle-dim-below-min", "n-max-below-min",
         "oscillator-dim-below-min", "zero-faq-points", "sweep-zero-faq-points", "negative-null-tol",
         "sweep-null-tol-one", "zero-pos-tol", "sweep-negative-pos-tol", "negative-faq-tol",
@@ -358,11 +362,49 @@ def test_run_limit_cycle_poisson_point(tmp_path):
     assert abs(summary["mean_n"] - 1.0) <= 1e-8
     assert abs(summary["mandel_q"]) <= 1e-8
     assert summary["faq_pass"] is True
+    # p_{n_max} of the recurrence: the tail the run's n_max cut leaves
+    assert summary["recurrence_tail"] == recurrence_stationary(1.0, 30)[-1]
+    assert 0.0 <= summary["recurrence_tail"] <= 1e-12
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["config"]["numerics"]["stationary.null_tol"] == 1e-10
     assert manifest["seed"] == 11
     assert (run_dir / "distribution.csv").exists()
     assert (run_dir / "stationary_state.csv").exists()
+
+
+@pytest.mark.parametrize("dim, alpha, t_end, low, high", [
+    (30, [1.0, 0.0], 0.1, 0.0, 1e-20),
+    # the cut is too small for |alpha|^2 = 6.25: the run still exits 0
+    (8, [2.5, 0.0], 5.0, 0.1, 1.0),
+], ids=["inside-cut", "cut-too-small"])
+def test_run_oscillator_top_level_population(tmp_path, dim, alpha, t_end, low, high):
+    config = oscillator_config()
+    config["numerics"] = {"dim": dim, "evolve.dt": 0.001, "t_end": t_end, "alpha": alpha}
+    path = write_config(tmp_path, config)
+    out_root = tmp_path / "runs"
+    assert main(["run", str(path), "--output-dir", str(out_root)]) == 0
+    summary = json.loads((run_dir_of(out_root) / "summary.json").read_text())
+    assert low <= summary["top_level_population"] <= high
+    if dim == 8:
+        # the drift is linear, so this error measures only the Fock cut
+        assert summary["ehrenfest_max_error"] == pytest.approx(0.594, abs=1e-3)
+
+
+def test_run_builds_each_faq_system_once(tmp_path, monkeypatch):
+    """The FAQ check and the quantized model share one FaqSystem."""
+    built = []
+    post_init = FaqSystem.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FaqSystem, "__post_init__", counting)
+    for config in (limit_cycle_config(numerics={"dim": 16, "n_max": 20}), oscillator_config()):
+        built.clear()
+        path = write_config(tmp_path, config)
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "runs")]) == 0
+        assert len(built) == 1
 
 
 def test_run_rotators_summary(tmp_path):

@@ -296,6 +296,25 @@ def test_weights_oscillator_grow_exponentially():
     assert np.max(np.abs(weights / expected - 1.0)) <= 1e-6
 
 
+def test_channel_partials_built_once(monkeypatch):
+    """phase_divergence and ensemble_weights share the partials a system
+    builds on first use: one dR/dz*_a and one dR/dz_a per channel and mode."""
+    calls = []
+    partial = Polynomial.partial
+
+    def counting(self, mode, kind):
+        calls.append((mode, kind))
+        return partial(self, mode, kind)
+
+    system = rotator_faq(RotatorParams(1.0, 0.8, 0.3))
+    monkeypatch.setattr(Polynomial, "partial", counting)
+    points = sample_phase_points(2, 3, seed=52)
+    for point in points:
+        phase_divergence(system, point)
+    ensemble_weights(system, [PhasePoint(list(points[0]))], 0.01, 1e-3)
+    assert len(calls) == 2 * len(system.channels) * system.mode_count
+
+
 def test_weight_rate_sign_tracks_divergence():
     """d(weight)/dt = -div * weight: the sign flips where the divergence of
     the cubic field changes sign (|z|^2 = lam/(4 mu)), and the limit cycle

@@ -3,6 +3,8 @@ import pytest
 
 from helpers import (
     commutator_rhs,
+    hermitian_rhs,
+    hermitian_rk4_step,
     random_density,
     random_density_operator,
     random_hermitian,
@@ -25,10 +27,10 @@ from semiq import (
     lindblad_rhs,
     liouvillian_matrix,
     liouvillian_sectors,
-    normal_quantize,
     number,
     stationary,
 )
+from semiq import _blas
 from semiq.integrate import rk4_step
 from semiq.models import (
     LimitCycleParams,
@@ -36,6 +38,7 @@ from semiq.models import (
     RotatorParams,
     limit_cycle_lindblad,
     oscillator_lindblad,
+    quantized_lindblad,
     recurrence_stationary,
     closure_vs_exact_report,
     rotator_faq,
@@ -83,12 +86,7 @@ def test_rhs_is_traceless_and_hermiticity_preserving():
 def rotators_fock_model(mode_dims):
     """The normal-quantized coupled rotators on unequal mode sizes: shifts of
     the flat view cross row boundaries."""
-    system = rotator_faq(RotatorParams(1.0, 0.8, 0.3, l=4))
-    space = FockSpace(mode_dims)
-    return LindbladModel(
-        normal_quantize(system.hamiltonian, space),
-        tuple(normal_quantize(channel, space) for channel in system.channels),
-    )
+    return quantized_lindblad(rotator_faq(RotatorParams(1.0, 0.8, 0.3, l=4)), FockSpace(mode_dims))
 
 
 def two_channel_model(dim):
@@ -118,7 +116,7 @@ def test_rhs_forms_match_commutator_oracle(case):
         expected = commutator_rhs(model, rho)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(model._rhs_mat(rho) - expected)) <= 1e-12 * scale
-        assert np.max(np.abs(model._rhs_hermitian(rho) - expected)) <= 1e-12 * scale
+        assert np.max(np.abs(hermitian_rhs(model, rho) - expected)) <= 1e-12 * scale
         # the general form stays linear off the Hermitian operators
         op = random_operator(rng, model.dim).mat
         expected = commutator_rhs(model, op)
@@ -165,6 +163,44 @@ def test_evolve_matches_commutator_oracle():
     assert np.max(np.abs(result.final.mat - rho)) <= 1e-12
 
 
+EVOLVE_STEP_CASES = {
+    "oscillator-u0": lambda rng: (
+        oscillator_lindblad(OscillatorParams(1.0, 0.1, 0.0), 40), DensityMatrix.coherent_state(40, 2.0 + 0.5j)
+    ),
+    "oscillator-u0.2": lambda rng: (
+        oscillator_lindblad(OscillatorParams(1.0, 0.1, 0.2), 40), random_density(rng, 40)
+    ),
+    "limit-cycle": lambda rng: (
+        limit_cycle_lindblad(LimitCycleParams(1.0, 0.7, 0.4), 30), random_density(rng, 30)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVOLVE_STEP_CASES))
+def test_evolve_step_matches_rk4_oracle(case):
+    """One Horner-form evolve step is the classical RK4 step over the
+    Hermitian form, up to the rounding of the regrouped sums."""
+    model, rho0 = EVOLVE_STEP_CASES[case](np.random.default_rng(36))
+    stepped = evolve(model, rho0, 1e-3, 1e-3).final.mat
+    expected = hermitian_rk4_step(model, rho0.mat, 1e-3)
+    assert np.max(np.abs(stepped - expected)) <= 1e-15 * np.max(np.abs(expected))
+    assert np.array_equal(stepped, stepped.conj().T)
+
+
+def test_evolve_reports_top_level_population():
+    """The largest population of the last basis state over the samples, as
+    the expectation of its projector reads it."""
+    dim = 8
+    top = np.zeros((dim, dim))
+    top[-1, -1] = 1.0
+    model = oscillator_lindblad(OscillatorParams(1.0, 0.1), dim)
+    result = evolve(
+        model, DensityMatrix.coherent_state(dim, 2.5), 5.0, 1e-3, observables={"top": OperatorMatrix(top)}
+    )
+    assert result.top_level_population == np.max(result.expectations["top"].real)
+    assert result.top_level_population > 0.1
+
+
 def test_decay_rate_convention():
     """The unhalved dissipator empties |1> at rate 2: <n>(t) = exp(-2t)."""
     model = decay_model(4)
@@ -208,6 +244,9 @@ def test_evolution_tracks_classical_oscillator():
 def test_evolve_aborts_on_instability():
     with pytest.raises(PositivityViolation):
         evolve(decay_model(10), DensityMatrix.fock_state(10, 9), 5.0, 0.5)
+    # with no sample before it, the blow-up is caught by the per-step finiteness check
+    with pytest.raises(PositivityViolation, match="non-finite"):
+        evolve(decay_model(10), DensityMatrix.fock_state(10, 9), 500.0, 0.5, sample_every=10_000)
 
 
 def test_evolve_validates_input():
@@ -373,6 +412,26 @@ def test_stationary_solves_one_block_per_mirror_pair(monkeypatch):
     # the parity sectors are their own mirrors
     stationary(rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=10)))
     assert len(calls) == 2
+
+
+def test_stationary_independent_of_blas_threads():
+    # The l = 10 blocks have 221 rows, where a threaded OpenBLAS splits its
+    # sums by thread; stationary solves on one thread and gives the count back.
+    calls = _blas._openblas()
+    if calls is None:
+        pytest.skip("numpy does not call the OpenBLAS of its wheels")
+    get, put = calls
+    model = rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=10))
+    before = get()
+    states = []
+    try:
+        for count in (2, 1):
+            put(count)
+            states.append(stationary(model).mat)
+            assert get() == count
+    finally:
+        put(before)
+    assert np.array_equal(states[0], states[1])
 
 
 @pytest.mark.parametrize("null_tol", [0.0, -1.0, 1.0, float("nan")])
