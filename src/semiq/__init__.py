@@ -81,7 +81,6 @@ from .observables import (
     PhasePoint,
     Polynomial,
     format_polynomial,
-    parse_polynomial,
     poisson_bracket,
 )
 from .quantize import (

@@ -187,7 +187,7 @@ _SCHEMAS = {
             "evolve.dt": (True, None, _real),
             "t_end": (True, None, _real),
             "alpha": (False, [2.0, 0.0], _complex_pair),
-            "sample_every": (False, 0, _integer),
+            "sample_every": (False, 0, _integer_from(0)),
             "validate.pos_tol": (False, 1e-8, _positive),
             **_FAQ_CHECK,
         },

@@ -16,23 +16,24 @@ K = -i H - sum_j R_j+ R_j, built once per model:
 
     d rho/dt = K rho + rho K+ + 2 sum_j R_j rho R_j+.
 
-This form is linear on every operator and serves lindblad_rhs and the
-stationary residual.  Time evolution uses the Hermitian form M + M+ with
-M = K rho + sum_j R_j rho R_j+, which equals the generator on a Hermitian
-rho and is Hermitian to the last bit.
+With M(X) = K X + sum_j R_j X R_j+ this is L(X) = M(X) + M(X+)+ for any
+operator X, and M is the one form of the generator the package applies:
+lindblad_rhs and the stationary residual take the two passes M(X) + M(X+)+,
+and evolve, whose rho is Hermitian to the last bit, the one pass
+M(rho) + M(rho)+.  On an exactly Hermitian X the two agree bit for bit and
+are Hermitian to the last bit.
 
-Both forms are applied as a shift stencil rather than by matrix products.
-Each operator is a few non-zero diagonals, since every quantized monomial
-moves the basis index by a fixed amount.  On the row-major flat view of
-rho, diagonal k of K contributes (K rho)_ij = K_i,i+k rho_i+k,j, a read at
-flat shift k d; the same diagonal contributes to rho K+ at shift k; and
-diagonals k, l of one channel give R rho R+ at shift k d + l with weight
-v_k[i] conj(v_l[j]).  Terms with the same flat shift are summed into one
-weight, which is zero wherever the shift leaves the matrix, so a read that
-wraps to another row adds nothing.  Each of the P distinct shifts costs two
-element-wise operations on a contiguous slice, O(P d^2) in all.  A dense
-operator makes P ~ d^2, so the stencil suits the banded generators that
-quantized polynomials give.
+M is applied as a shift stencil rather than by matrix products.  Each
+operator is a few non-zero diagonals, since every quantized monomial moves
+the basis index by a fixed amount.  On the row-major flat view of X,
+diagonal k of K contributes (K X)_ij = K_i,i+k X_i+k,j, a read at flat
+shift k d, and diagonals k, l of one channel give R X R+ at shift k d + l
+with weight v_k[i] conj(v_l[j]).  Terms with the same flat shift are
+summed into one weight, which is zero wherever the shift leaves the
+matrix, so a read that wraps to another row adds nothing.  Each of the P
+distinct shifts costs two element-wise operations on a contiguous slice,
+O(P d^2) in all.  A dense operator makes P ~ d^2, so the stencil suits the
+banded generators that quantized polynomials give.
 
 The generator L is linear and constant in time, so one RK4 step is the
 polynomial rho -> P(hL) rho with P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24.
@@ -42,7 +43,7 @@ stencil of M, its weights scaled by c once per call, into
 m = rho/2 + c M(u), and then u = m + m+ in place; the buffers are
 allocated once per call.  Every stage is thus exactly Hermitian, and a
 step rounds within 1e-15 relative of the classical four-stage RK4 over
-M + M+.  The one-channel oscillator's Hermitian form has 4 terms; a whole
+M + M+.  The one-channel oscillator's stencil has 4 terms; a whole
 evolve run of it, 200 samples included, takes 75-112 us a step at d = 40
 and 520-790 us at d = 80, against 101-154 and 560-930 us when each step
 called the classical RK4 with its k1 ... k4 combination (medians of two
@@ -204,16 +205,14 @@ class LindbladModel:
         return self.h.dim
 
     @cached_property
-    def _general_stencil(self) -> tuple:
-        return _stencil(self, hermitian=False)
+    def _stencil(self) -> tuple:
+        return _make_stencil(self)
 
-    @cached_property
-    def _hermitian_stencil(self) -> tuple:
-        return _stencil(self, hermitian=True)
-
-    def _rhs_mat(self, rho: np.ndarray) -> np.ndarray:
-        """K rho + rho K+ + 2 sum_j R_j rho R_j+: linear on any operator."""
-        return _apply_stencil(self._general_stencil, rho)
+    def _rhs_mat(self, x: np.ndarray) -> np.ndarray:
+        """L(x) = M(x) + M(x+)+ = K x + x K+ + 2 sum_j R_j x R_j+ on any
+        operator x; M(x) + M(x)+ on an exactly Hermitian one."""
+        m = _apply_stencil(self._stencil, x)
+        return m + _apply_stencil(self._stencil, x.conj().T).conj().T
 
 
 def _diagonals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,26 +226,23 @@ def _diagonals(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return offsets, vectors
 
 
-def _stencil(model: LindbladModel, hermitian: bool) -> tuple:
-    """Shift stencil of K rho + sum_j R_j rho R_j+ (hermitian) or of
-    K rho + rho K+ + 2 sum_j R_j rho R_j+ on the row-major flat view of rho.
+def _make_stencil(model: LindbladModel) -> tuple:
+    """Shift stencil of M(X) = K X + sum_j R_j X R_j+ on the row-major flat
+    view of X.
 
     Returns (shift, lo, hi, weight) terms with distinct shifts; a term adds
-    weight * rho.flat[lo + shift:hi + shift] to out.flat[lo:hi], where
+    weight * X.flat[lo + shift:hi + shift] to out.flat[lo:hi], where
     [lo, hi) spans the non-zero entries of its weight.
     """
     d = model.dim
     offsets, vectors = _diagonals(model._k)
     shifts = [offsets * d]
     weights = [np.repeat(vectors, d, axis=1)]
-    if not hermitian:
-        shifts.append(offsets)
-        weights.append(np.tile(vectors.conj(), d))
     for r, _r_dag in model._channel_data:
         offsets, vectors = _diagonals(r)
         shifts.append((offsets[:, None] * d + offsets).ravel())
         pairs = vectors[:, None, :, None] * vectors.conj()[None, :, None, :]
-        weights.append((pairs if hermitian else 2.0 * pairs).reshape(-1, d * d))
+        weights.append(pairs.reshape(-1, d * d))
     shifts = np.concatenate(shifts)
     if not len(shifts):
         return ()
@@ -283,9 +279,11 @@ def lindblad_rhs(model: LindbladModel, rho: OperatorMatrix | DensityMatrix) -> O
 
 @dataclass(frozen=True)
 class EvolveResult:
-    """What evolve returns.  The monitors are taken over the samples;
-    top_level_population is the largest population of the last basis state,
-    the top level of a Fock cut, which a cut too small for the state fills."""
+    """What evolve returns.  The monitors are taken over the samples.
+    top_level_population is the largest total population of the basis
+    states that put some mode at the top level of its Fock cut, which a cut
+    too small for the state fills; on a basis other than a FockSpace, the
+    population of the last basis state."""
 
     final: DensityMatrix
     times: np.ndarray
@@ -310,17 +308,25 @@ def evolve(
     Horner form of the RK4 polynomial (see the module notes).
 
     Expectations of the named observables are sampled every `sample_every`
-    steps (default: about 200 samples per run).  Trace, Hermiticity,
-    positivity and the population of the last basis state are monitored at
-    the samples; an eigenvalue below -pos_abort_tol aborts, which signals
-    that the step is too large or the Fock truncation too small for this
-    state, and so does a non-finite entry after any step.
+    steps (default: about 200 samples per run; at least 1).  Trace,
+    Hermiticity, positivity and the top-level population (EvolveResult) are
+    monitored at the samples; an eigenvalue below -pos_abort_tol aborts,
+    which signals that the step is too large or the Fock truncation too
+    small for this state, and so does a non-finite entry after any step.
     """
     n_steps = _step_count(t_end, dt)
     if rho0.dim != model.dim:
         raise ValueError("initial state dimension does not match model")
     if sample_every is None:
         sample_every = max(1, n_steps // 200)
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be at least 1, got {sample_every!r}")
+    basis = model.h.basis
+    if isinstance(basis, FockSpace):  # the states with some mode at its top level
+        levels = np.indices(basis.mode_dims).reshape(basis.n_modes, -1).T
+        top_levels = np.flatnonzero((levels == np.array(basis.mode_dims) - 1).any(axis=1))
+    else:
+        top_levels = [model.dim - 1]
     observables = dict(observables or {})
     for name, op in observables.items():
         if op.dim != model.dim:
@@ -328,9 +334,9 @@ def evolve(
 
     # The Horner stages u <- rho + c L(u) of the module notes.  A stage
     # writes m = rho/2 + c M(u), then u = m + m+, which equals rho + c L(u)
-    # because rho is Hermitian.  Each stencil term holds the read window
-    # [a, b) of u's flat view, its weight scaled by c, and the views of the
-    # product scratch and of m that it writes.
+    # because rho and u are Hermitian.  Each stencil term holds the read
+    # window [a, b) of u's flat view, its weight scaled by c, and the views of
+    # the product scratch and of m that it writes.
     d = model.dim
     m = np.empty((d, d), dtype=complex)
     mirror = np.empty_like(m)
@@ -339,7 +345,7 @@ def evolve(
     stages = [
         tuple(
             (lo + shift, hi + shift, c * weight, scratch[:hi - lo], m_flat[lo:hi])
-            for shift, lo, hi, weight in model._hermitian_stencil
+            for shift, lo, hi, weight in model._stencil
         )
         for c in (dt / 4.0, dt / 3.0, dt / 2.0, dt)
     ]
@@ -358,7 +364,7 @@ def evolve(
             samples[name].append(_trace_product(mat, op.mat))
         max_trace_dev = max(max_trace_dev, abs(np.trace(mat) - 1.0))
         max_herm_dev = max(max_herm_dev, float(np.max(np.abs(mat - mat.conj().T))))
-        top_population = max(top_population, float(mat[-1, -1].real))
+        top_population = max(top_population, float(mat.diagonal()[top_levels].real.sum()))
         # mat is exactly Hermitian (see above), so it goes to eigvalsh as is.
         min_eig = float(np.linalg.eigvalsh(mat).min())
         min_eig_seen = min(min_eig_seen, min_eig)

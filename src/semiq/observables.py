@@ -24,7 +24,6 @@ for N points at once; the same loop serves both.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from math import isfinite
 from typing import Mapping
@@ -36,7 +35,6 @@ __all__ = [
     "PhasePoint",
     "poisson_bracket",
     "format_polynomial",
-    "parse_polynomial",
 ]
 
 
@@ -336,7 +334,7 @@ def poisson_bracket(a: Polynomial, b: Polynomial) -> Polynomial:
 # -- text form ---------------------------------------------------------------
 #
 # sum of `coeff * z1^k * z1c^l * ...` terms, `zNc` denoting z*_N and `i` the
-# imaginary unit.  format_polynomial/parse_polynomial round-trip exactly.
+# imaginary unit.
 
 
 def _format_float(x: float) -> str:
@@ -379,128 +377,3 @@ def format_polynomial(poly: Polynomial) -> str:
         else:
             pieces.append(("- " if negate else "+ ") + body)
     return " ".join(pieces)
-
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?P<imag>i)?"
-    r"|(?P<var>z(?P<index>\d+)(?P<conj>c)?)"
-    r"|(?P<unit>i)"
-    r"|(?P<op>[-+*^()])"
-    r")"
-)
-
-
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            raise ValueError(f"cannot tokenize polynomial text at position {pos}: {text[pos:pos + 12]!r}")
-        if match.group("number") is not None:
-            value = float(match.group("number"))
-            tokens.append(("imag" if match.group("imag") else "num", value))
-        elif match.group("var") is not None:
-            tokens.append(("var", (int(match.group("index")), bool(match.group("conj")))))
-        elif match.group("unit") is not None:
-            tokens.append(("imag", 1.0))
-        else:
-            tokens.append(("op", match.group("op")))
-        pos = match.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, mode_count: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.mode_count = mode_count
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        token = self.peek()
-        self.pos += 1
-        return token
-
-    def expect_op(self, op: str):
-        kind, value = self.take()
-        if kind != "op" or value != op:
-            raise ValueError(f"expected {op!r} in polynomial text")
-
-    def parse_expr(self) -> Polynomial:
-        kind, value = self.peek()
-        negate = False
-        if kind == "op" and value in "+-":
-            self.take()
-            negate = value == "-"
-        result = self.parse_term()
-        if negate:
-            result = -result
-        while True:
-            kind, value = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                term = self.parse_term()
-                result = result - term if value == "-" else result + term
-            else:
-                return result
-
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
-        while True:
-            kind, value = self.peek()
-            if kind == "op" and value == "*":
-                self.take()
-                result = result * self.parse_factor()
-            else:
-                return result
-
-    def parse_factor(self) -> Polynomial:
-        base = self.parse_primary()
-        kind, value = self.peek()
-        if kind == "op" and value == "^":
-            self.take()
-            kind, value = self.take()
-            if kind != "num" or value != int(value):
-                raise ValueError("exponent must be a non-negative integer")
-            return base ** int(value)
-        return base
-
-    def parse_primary(self) -> Polynomial:
-        kind, value = self.take()
-        if kind == "num":
-            return Polynomial.constant(self.mode_count, value)
-        if kind == "imag":
-            return Polynomial.constant(self.mode_count, value * 1j)
-        if kind == "var":
-            index, conj = value
-            if index < 1 or index > self.mode_count:
-                raise ValueError(f"variable z{index} out of range for mode_count={self.mode_count}")
-            mode = index - 1
-            return Polynomial.zc(mode, self.mode_count) if conj else Polynomial.z(mode, self.mode_count)
-        if kind == "op" and value == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        raise ValueError(f"unexpected token {value!r} in polynomial text")
-
-
-def parse_polynomial(text: str, mode_count: int | None = None) -> Polynomial:
-    """Parse the text form produced by format_polynomial.
-
-    Accepts `i` for the imaginary unit, `zN`/`zNc` for z_N/z*_N, `+ - * ^`
-    and parentheses.  When mode_count is omitted it is inferred from the
-    highest variable index present (at least 1).
-    """
-    tokens = _tokenize(text)
-    if mode_count is None:
-        indices = [value[0] for kind, value in tokens if kind == "var"]
-        mode_count = max(indices) if indices else 1
-    parser = _Parser(tokens, mode_count)
-    result = parser.parse_expr()
-    if parser.pos != len(tokens):
-        raise ValueError("trailing input in polynomial text")
-    return result

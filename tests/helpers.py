@@ -194,7 +194,7 @@ def hermitian_rhs(model, rho):
     """The Hermitian form of the generator, M + M+ with
     M = K rho + sum_j R_j rho R_j+, from the stencil evolve runs.  It equals
     the generator on a Hermitian rho and is exactly Hermitian."""
-    m = _apply_stencil(model._hermitian_stencil, rho)
+    m = _apply_stencil(model._stencil, rho)
     return m + m.conj().T
 
 
@@ -221,7 +221,7 @@ def svd_stationary(model, null_tol=1e-10, residual_tol=1e-10, pos_tol=POSITIVITY
         raise NumericalFailure("stationary candidate has (near) zero trace")
     candidate = candidate / trace
 
-    residual = float(np.max(np.abs(model._rhs_mat(candidate))))
+    residual = float(np.max(np.abs(commutator_rhs(model, candidate))))
     if residual > residual_tol:
         raise NumericalFailure(
             f"stationary residual {residual:.3e} exceeds {residual_tol:.1e}"

@@ -237,6 +237,7 @@ def oscillator_with(key, value):
     (limit_cycle_config(sweep={"numerics.n_max": [30, 30.5]}), "numerics.n_max[1]"),
     (limit_cycle_config(seed=True), "seed"),
     (oscillator_with("sample_every", 2.5), "numerics.sample_every"),
+    (oscillator_with("sample_every", -3), "numerics.sample_every"),
     (oscillator_with("alpha", [1.0, 0.0, 0.0]), "numerics.alpha"),
     (oscillator_with("alpha", ["1", 0.0]), "numerics.alpha"),
     (oscillator_config(sweep={"numerics.alpha": [[1.0]]}), "numerics.alpha[0]"),
@@ -273,8 +274,8 @@ def oscillator_with(key, value):
     (dict(rotators_config("conformance"), sweep={"numerics.tol": [1e-10, 0.0]}), "numerics.tol[1]"),
 ], ids=["null-required", "null-optional", "null-param", "null-sweep-value",
         "sweep-not-a-number", "sweep-list-for-int", "not-an-int", "fractional-int", "bool-for-int",
-        "sweep-fractional-int", "bool-seed", "fractional-sample-every", "alpha-three-numbers",
-        "alpha-string", "sweep-alpha-one-number", "inf-string", "nan-string", "bool-for-real",
+        "sweep-fractional-int", "bool-seed", "fractional-sample-every", "negative-sample-every",
+        "alpha-three-numbers", "alpha-string", "sweep-alpha-one-number", "inf-string", "nan-string", "bool-for-real",
         "sweep-nan", "zero-step", "negative-t-end", "nan-initial", "bool-initial",
         "rotators-half-spin", "rotators-fractional-2l", "rotators-negative-lambda",
         "rotators-above-limit", "conformance-half-spin", "limit-cycle-zero-mu", "sweep-zero-mu",

@@ -117,7 +117,13 @@ def test_rhs_forms_match_commutator_oracle(case):
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(model._rhs_mat(rho) - expected)) <= 1e-12 * scale
         assert np.max(np.abs(hermitian_rhs(model, rho) - expected)) <= 1e-12 * scale
-        # the general form stays linear off the Hermitian operators
+        # on an exactly Hermitian input, M(X) + M(X+)+ is the one-pass form
+        # evolve runs, bit for bit, and so exactly Hermitian
+        exact = (rho + rho.conj().T) / 2.0
+        out = lindblad_rhs(model, OperatorMatrix(exact)).mat
+        assert np.max(np.abs(out - out.conj().T)) == 0.0
+        assert np.array_equal(out, hermitian_rhs(model, exact))
+        # the generator stays linear off the Hermitian operators
         op = random_operator(rng, model.dim).mat
         expected = commutator_rhs(model, op)
         assert np.max(np.abs(model._rhs_mat(op) - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -201,6 +207,21 @@ def test_evolve_reports_top_level_population():
     assert result.top_level_population > 0.1
 
 
+def test_evolve_top_level_population_counts_every_mode():
+    """On two modes, the population of the states with either mode at its
+    top level: mode 0 holds a coherent state that reaches its cut while
+    mode 1 stays in vacuum, so the last basis state alone holds nothing."""
+    space = FockSpace((6, 5))
+    levels = np.array([space.occupation(i) for i in range(space.total_dim)])
+    model = LindbladModel(OperatorMatrix(np.diag(levels.sum(axis=1)).astype(complex), space))
+    amps = DensityMatrix.coherent_state(6, 2.0).mat[:, 0]  # |alpha> up to a positive factor
+    rho0 = DensityMatrix.pure_state(np.kron(amps, np.eye(5)[0]), space)
+    top = OperatorMatrix(np.diag((levels == [5, 4]).any(axis=1).astype(float)))
+    result = evolve(model, rho0, 0.5, 1e-3, observables={"top": top})
+    assert abs(result.top_level_population - np.max(result.expectations["top"].real)) <= 1e-15
+    assert result.top_level_population > 0.1
+
+
 def test_decay_rate_convention():
     """The unhalved dissipator empties |1> at rate 2: <n>(t) = exp(-2t)."""
     model = decay_model(4)
@@ -256,6 +277,10 @@ def test_evolve_validates_input():
         evolve(decay_model(4), DensityMatrix.fock_state(5, 0), 1.0, 0.1)
     with pytest.raises(ValueError, match="t_end"):
         evolve(decay_model(4), DensityMatrix.fock_state(4, 0), -1.0, 0.1)
+    with pytest.raises(ValueError, match="sample_every"):
+        evolve(decay_model(4), DensityMatrix.fock_state(4, 0), 1.0, 0.1, sample_every=0)
+    with pytest.raises(ValueError, match="sample_every"):
+        evolve(decay_model(4), DensityMatrix.fock_state(4, 0), 1.0, 0.1, sample_every=-3)
 
 
 # -- stationary states -----------------------------------------------------------

@@ -6,7 +6,6 @@ from semiq import (
     PhasePoint,
     Polynomial,
     format_polynomial,
-    parse_polynomial,
     poisson_bracket,
 )
 from semiq.observables import _columns
@@ -215,36 +214,6 @@ def test_format_examples():
     assert format_polynomial(z() * zc()) == "z1 * z1c"
     p = (1.5 - 2.25j) * z() * z() * zc()
     assert format_polynomial(p) == "(1.5-2.25i) * z1^2 * z1c"
-
-
-def test_parse_accepts_imaginary_unit():
-    p = parse_polynomial("i + 2.0i * z1 - i * z1c^2")
-    assert p == 1j + 2j * z() - 1j * zc() * zc()
-
-
-def test_parse_infers_mode_count():
-    p = parse_polynomial("z2 * z1c")
-    assert p.mode_count == 2
-
-
-def test_round_trip_is_exact():
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        modes = int(rng.integers(1, 3))
-        p = random_polynomial(rng, modes, 4, integer=False)
-        text = format_polynomial(p)
-        assert parse_polynomial(text, modes) == p
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_polynomial("z1 $ z2")
-    with pytest.raises(ValueError):
-        parse_polynomial("z1 ^ -2")
-    with pytest.raises(ValueError):
-        parse_polynomial("z1 z2")
-    with pytest.raises(ValueError):
-        parse_polynomial("z3", mode_count=2)
 
 
 def test_polynomial_invariants_on_construction():
