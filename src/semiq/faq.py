@@ -17,8 +17,9 @@ discover H and R from a raw vector field.
 
 Every drift polynomial is evaluated by the compiled evaluator of
 observables.  Single-point work (drift, classical_flow, phase_divergence,
-ensemble_weights) runs it on Python-scalar columns; the FAQ check runs it
-once over the columns of all its sample points.  A phase point is a
+ensemble_weights) runs it on Python-scalar columns, and the two flows carry
+their RK4 state as a tuple of those scalars (see integrate); the FAQ check
+runs it once over the columns of all its sample points.  A phase point is a
 PhasePoint or a sequence of mode_count complex coordinates, such as a row
 of the array that sample_phase_points returns.
 """
@@ -155,15 +156,10 @@ def sample_phase_points(mode_count: int, n: int, radius: float = 3.0, seed: int 
     return r * np.exp(1j * theta)
 
 
-def _point_drift(polys: Sequence[Polynomial], coords: np.ndarray) -> np.ndarray:
-    """The drift at one point, evaluated on Python-scalar columns."""
-    columns = _columns(coords.tolist())
-    return np.array([poly._evaluate_coords(columns) for poly in polys], dtype=complex)
-
-
 def drift(system: FaqSystem, point) -> np.ndarray:
     """dz_a/dt for each mode at the given phase point."""
-    return _point_drift(system.drift_polynomials, _as_coords(point, system.mode_count))
+    columns = _columns(_as_coords(point, system.mode_count).tolist())
+    return np.array([poly._evaluate_coords(columns) for poly in system.drift_polynomials], dtype=complex)
 
 
 def verify_faq(
@@ -205,9 +201,11 @@ def classical_flow(system: FaqSystem, z0, t_end: float, dt: float, record_every:
     polys = system.drift_polynomials
 
     def field(_t, zs):
-        return _point_drift(polys, zs)
+        columns = _columns(zs)
+        return tuple([poly._evaluate_coords(columns) for poly in polys])
 
-    times, states = rk4_path(field, _as_coords(z0, system.mode_count), t_end, dt, record_every=record_every)
+    z0 = tuple(_as_coords(z0, system.mode_count).tolist())
+    times, states = rk4_path(field, z0, t_end, dt, record_every=record_every)
     return Trajectory(times, states)
 
 
@@ -249,15 +247,14 @@ def ensemble_weights(
     partials = system._channel_partials
 
     def field(_t, y):
-        columns = _columns(y.tolist()[:m])
+        columns = _columns(y[:m])
         out = [poly._evaluate_coords(columns) for poly in polys]
         out.append(-_divergence(partials, columns))  # d(log f)/dt
-        return np.array(out, dtype=complex)
+        return tuple(out)
 
     results = []
     for initial in points:
-        coords = _as_coords(initial, m)
-        y0 = np.concatenate([coords, [0.0 + 0j]])
+        y0 = (*_as_coords(initial, m).tolist(), 0.0)
         times, states = rk4_path(field, y0, t_end, dt, record_every=record_every)
         trajectory = Trajectory(times, states[:, :m])
         weights = np.exp(states[:, m].real)

@@ -18,10 +18,10 @@ K = -i H - sum_j R_j+ R_j, built once per model:
 
 With M(X) = K X + sum_j R_j X R_j+ this is L(X) = M(X) + M(X+)+ for any
 operator X, and M is the one form of the generator the package applies:
-lindblad_rhs and the stationary residual take the two passes M(X) + M(X+)+,
-and evolve, whose rho is Hermitian to the last bit, the one pass
-M(rho) + M(rho)+.  On an exactly Hermitian X the two agree bit for bit and
-are Hermitian to the last bit.
+lindblad_rhs takes the two passes M(X) + M(X+)+, and evolve, whose rho is
+Hermitian to the last bit, and the stationary residual, on its Hermitized
+candidate, the one pass M(X) + M(X)+.  On an exactly Hermitian X the two
+agree bit for bit and are Hermitian to the last bit.
 
 M is applied as a shift stencil rather than by matrix products.  Each
 operator is a few non-zero diagonals, since every quantized monomial moves
@@ -38,17 +38,21 @@ banded generators that quantized polynomials give.
 The generator L is linear and constant in time, so one RK4 step is the
 polynomial rho -> P(hL) rho with P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24.
 evolve applies it in Horner form, four stages u <- rho + c L(u) with
-c = h/4, h/3, h/2, h, starting from u = rho.  Each stage is one pass of the
-stencil of M, its weights scaled by c once per call, into
-m = rho/2 + c M(u), and then u = m + m+ in place; the buffers are
-allocated once per call.  Every stage is thus exactly Hermitian, and a
-step rounds within 1e-15 relative of the classical four-stage RK4 over
-M + M+.  The one-channel oscillator's stencil has 4 terms; a whole
-evolve run of it, 200 samples included, takes 75-112 us a step at d = 40
-and 520-790 us at d = 80, against 101-154 and 560-930 us when each step
-called the classical RK4 with its k1 ... k4 combination (medians of two
-sets of alternating runs on a 2-core VM whose speed moves between two
-levels, numpy 2.4 with OpenBLAS).
+c = h/4, h/3, h/2, h, starting from u = rho.  A step computes rho/2 once;
+each stage copies it into m, adds one pass of the stencil of M with its
+weights scaled by c, so that m = rho/2 + c M(u), and then writes
+u = m + m+ in place.  Every stage is thus exactly Hermitian, and a step
+rounds within 1e-15 relative of the classical four-stage RK4 over M + M+.
+The buffers are allocated once per call.  rho and u trade buffers every
+step, so the stencil terms, each with its scaled weight and the views it
+reads and writes, are built once per call for each of the two roles, and
+the step loop slices nothing.  The one-channel oscillator's stencil has 4
+terms; a whole evolve run of it, sampled every 100 steps, takes 89-127 us
+a step at d = 40, against 112-136 us when each step sliced its stencil
+windows and each stage multiplied rho by 1/2.  At d = 80, sampled every 2
+steps, it takes about 830 us either way.  (Medians of runs of both loops
+alternating in one process, on a 2-core VM whose speed moves between
+levels, numpy 2.4 with OpenBLAS.)
 
 Stationary states are solved per sector of the vectorized generator, one
 block per mirror pair.  The generator maps rho+ to L(rho)+, so the
@@ -283,7 +287,8 @@ class EvolveResult:
     top_level_population is the largest total population of the basis
     states that put some mode at the top level of its Fock cut, which a cut
     too small for the state fills; on a basis other than a FockSpace, the
-    population of the last basis state."""
+    population of the last basis state.  The basis is that of H, or that
+    of the initial state when H has none."""
 
     final: DensityMatrix
     times: np.ndarray
@@ -321,7 +326,7 @@ def evolve(
         sample_every = max(1, n_steps // 200)
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every!r}")
-    basis = model.h.basis
+    basis = rho0.basis if model.h.basis is None else model.h.basis
     if isinstance(basis, FockSpace):  # the states with some mode at its top level
         levels = np.indices(basis.mode_dims).reshape(basis.n_modes, -1).T
         top_levels = np.flatnonzero((levels == np.array(basis.mode_dims) - 1).any(axis=1))
@@ -331,26 +336,38 @@ def evolve(
     for name, op in observables.items():
         if op.dim != model.dim:
             raise ValueError(f"observable {name!r} dimension mismatch")
+    # tr(rho A) = rho.ravel() @ A.ravel(order="F"), as in _trace_product
+    transposed = {name: op.mat.ravel(order="F") for name, op in observables.items()}
 
     # The Horner stages u <- rho + c L(u) of the module notes.  A stage
-    # writes m = rho/2 + c M(u), then u = m + m+, which equals rho + c L(u)
-    # because rho and u are Hermitian.  Each stencil term holds the read
-    # window [a, b) of u's flat view, its weight scaled by c, and the views of
-    # the product scratch and of m that it writes.
+    # copies rho/2, computed once a step, into m, adds c M(u), then writes
+    # u = m + m+, which equals rho + c L(u) because rho and u are Hermitian.
+    # Each stencil term holds its weight scaled by c, the view of the flat
+    # buffer it reads, and the views of the product scratch and of m that it
+    # writes.  rho and u swap buffers every step, so the terms are built for
+    # both roles here and the step loop slices nothing.
     d = model.dim
     m = np.empty((d, d), dtype=complex)
     mirror = np.empty_like(m)
     scratch = np.empty(d * d, dtype=complex)
-    m_flat = m.reshape(-1)
-    stages = [
-        tuple(
-            (lo + shift, hi + shift, c * weight, scratch[:hi - lo], m_flat[lo:hi])
-            for shift, lo, hi, weight in model._stencil
-        )
-        for c in (dt / 4.0, dt / 3.0, dt / 2.0, dt)
-    ]
+    m_flat, m_transposed = m.reshape(-1), m.T
+    coefficients = (dt / 4.0, dt / 3.0, dt / 2.0, dt)
+    scaled = [[c * weight for *_, weight in model._stencil] for c in coefficients]
+    writes = [(lo + shift, hi + shift, scratch[:hi - lo], m_flat[lo:hi]) for shift, lo, hi, _ in model._stencil]
+
+    def stages_from(rho: np.ndarray, u: np.ndarray) -> list[tuple]:
+        """The four stages of a step from rho: the first reads rho, the
+        others the stage buffer u."""
+        sources = (rho.reshape(-1),) + (u.reshape(-1),) * 3
+        return [
+            tuple((weight, flat[a:b], product, target) for weight, (a, b, product, target) in zip(weights, writes))
+            for weights, flat in zip(scaled, sources)
+        ]
+
     rho = (rho0.mat + rho0.mat.conj().T) / 2.0
     u = np.empty_like(rho)
+    half = np.empty_like(rho)
+    stages, next_stages = stages_from(rho, u), stages_from(u, rho)
     times = [0.0]
     samples: dict[str, list[complex]] = {name: [] for name in observables}
     max_trace_dev = 0.0
@@ -360,8 +377,9 @@ def evolve(
 
     def record(t: float, mat: np.ndarray):
         nonlocal max_trace_dev, max_herm_dev, min_eig_seen, top_population
-        for name, op in observables.items():
-            samples[name].append(_trace_product(mat, op.mat))
+        flat = mat.ravel()
+        for name, values in samples.items():
+            values.append(complex(flat @ transposed[name]))
         max_trace_dev = max(max_trace_dev, abs(np.trace(mat) - 1.0))
         max_herm_dev = max(max_herm_dev, float(np.max(np.abs(mat - mat.conj().T))))
         top_population = max(top_population, float(mat.diagonal()[top_levels].real.sum()))
@@ -376,16 +394,16 @@ def evolve(
     record(0.0, rho)
 
     for step in range(1, n_steps + 1):
-        source = rho.reshape(-1)
+        np.multiply(rho, 0.5, out=half)
         for stage in stages:
-            np.multiply(rho, 0.5, out=m)
-            for a, b, weight, product, target in stage:
-                np.multiply(weight, source[a:b], out=product)
+            np.copyto(m, half)
+            for weight, source, product, target in stage:
+                np.multiply(weight, source, out=product)
                 np.add(target, product, out=target)
-            np.conjugate(m.T, out=mirror)
+            np.conjugate(m_transposed, out=mirror)
             np.add(m, mirror, out=u)
-            source = u.reshape(-1)
         rho, u = u, rho
+        stages, next_stages = next_stages, stages
         # sum |rho_ij|^2 is non-finite whenever an entry is, and overflows
         # long before any density matrix could reach it
         if not np.isfinite(np.vdot(rho, rho).real):
@@ -571,7 +589,10 @@ def stationary(
         raise NumericalFailure("stationary candidate has (near) zero trace")
     candidate = candidate / trace
 
-    residual = float(np.max(np.abs(model._rhs_mat(candidate))))
+    # candidate is exactly Hermitian, so one stencil pass m = M(candidate)
+    # gives L(candidate) = m + m+ bit for bit as _rhs_mat does with two.
+    m = _apply_stencil(model._stencil, candidate)
+    residual = float(np.max(np.abs(m + m.conj().T)))
     if residual > residual_tol:
         raise NumericalFailure(
             f"stationary residual {residual:.3e} exceeds {residual_tol:.1e}"

@@ -22,7 +22,7 @@ shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cosh, sinh, sqrt
+from math import cosh, sin, sinh, sqrt
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -410,13 +410,13 @@ def phase_model_flow(
     """
 
     def field(_t, phi):
-        s = np.sin(phi[1] - phi[0])
-        return np.array([omega1 + coupling * s, omega2 - coupling * s])
+        s = sin(phi[1] - phi[0])
+        return (omega1 + coupling * s, omega2 - coupling * s)
 
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (2,):
         raise ValueError("phi0 must contain two phases")
-    times, phases = rk4_path(field, phi0, t_end, dt, record_every=record_every)
+    times, phases = rk4_path(field, tuple(phi0.tolist()), t_end, dt, record_every=record_every)
     final = phases[-1]
     rate = (omega2 - omega1) + coupling * np.sin(final[0] - final[1]) - coupling * np.sin(final[1] - final[0])
     return PhaseFlowResult(
@@ -557,20 +557,19 @@ def classical_spin_flow(
         raise ValueError("spin hamiltonian must have real coefficients")
 
     def field(_t, l):
-        point = l.tolist()
-        grad_h = [value.real for value in hamiltonian._gradient_values(point)]
-        r_value = channel.evaluate(point)
-        grad_r = [value.conjugate() for value in channel._gradient_values(point)]
+        grad_h = [value.real for value in hamiltonian._gradient_values(l)]
+        r_value = channel.evaluate(l)
+        grad_r = [value.conjugate() for value in channel._gradient_values(l)]
         # numpy's complex array product may fuse a multiply and an add, so
         # it rounds unlike Python's; keeping this product on an array keeps
         # the trajectory bit for bit what it has been.
-        dissipative = r_value * np.array(_cross(point, grad_r))
-        return -np.array(_cross(point, grad_h)) - 2.0 * dissipative.imag
+        dissipative = (r_value * np.array(_cross(l, grad_r))).imag.tolist()
+        return tuple([-a - 2.0 * b for a, b in zip(_cross(l, grad_h), dissipative)])
 
     l0 = np.asarray(l0, dtype=float)
     if l0.shape != (3,):
         raise ValueError("l0 must be a real 3-vector")
-    times, states = rk4_path(field, l0, t_end, dt, record_every=record_every)
+    times, states = rk4_path(field, tuple(l0.tolist()), t_end, dt, record_every=record_every)
     return SpinTrajectory(times, states)
 
 

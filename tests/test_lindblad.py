@@ -207,19 +207,29 @@ def test_evolve_reports_top_level_population():
     assert result.top_level_population > 0.1
 
 
-def test_evolve_top_level_population_counts_every_mode():
+def check_two_mode_top_level_population(h_basis_given: bool):
     """On two modes, the population of the states with either mode at its
     top level: mode 0 holds a coherent state that reaches its cut while
     mode 1 stays in vacuum, so the last basis state alone holds nothing."""
     space = FockSpace((6, 5))
     levels = np.array([space.occupation(i) for i in range(space.total_dim)])
-    model = LindbladModel(OperatorMatrix(np.diag(levels.sum(axis=1)).astype(complex), space))
+    h = np.diag(levels.sum(axis=1)).astype(complex)
+    model = LindbladModel(OperatorMatrix(h, space if h_basis_given else None))
     amps = DensityMatrix.coherent_state(6, 2.0).mat[:, 0]  # |alpha> up to a positive factor
     rho0 = DensityMatrix.pure_state(np.kron(amps, np.eye(5)[0]), space)
     top = OperatorMatrix(np.diag((levels == [5, 4]).any(axis=1).astype(float)))
     result = evolve(model, rho0, 0.5, 1e-3, observables={"top": top})
     assert abs(result.top_level_population - np.max(result.expectations["top"].real)) <= 1e-15
     assert result.top_level_population > 0.1
+
+
+def test_evolve_top_level_population_counts_every_mode():
+    check_two_mode_top_level_population(h_basis_given=True)
+
+
+def test_evolve_top_level_states_from_rho0_basis():
+    """A model built from bare matrices takes the FockSpace of rho0."""
+    check_two_mode_top_level_population(h_basis_given=False)
 
 
 def test_decay_rate_convention():
