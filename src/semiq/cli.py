@@ -397,23 +397,25 @@ def validate_config(config: dict) -> list[str]:
                 problems.extend(_cast_problem(f"{section}.{key}", schema[section][key][2], value))
     if experiment == "classical-flow":
         problems.extend(_flow_problems(config.get("params", {}), config.get("numerics", {})))
+    # a null output_dir or sweep is named by the null check above
+    if not isinstance(config.get("output_dir", ""), (str, type(None))):
+        problems.append("output_dir must be a string")
     sweep = config.get("sweep", {})
-    if sweep:
-        if not isinstance(sweep, dict):
-            problems.append("sweep must be an object")
-        else:
-            for dotted, values in sweep.items():
-                section, _, key = dotted.partition(".")
-                if section not in ("params", "numerics") or key not in schema.get(section, {}):
-                    problems.append(f"sweep key does not name a config entry: {dotted}")
-                elif dotted == "params.model":
-                    problems.append("sweep key params.model: the model fixes the other params keys")
-                elif not isinstance(values, list) or not values:
-                    problems.append(f"sweep values for {dotted} must be a non-empty list")
-                else:
-                    cast = schema[section][key][2]
-                    for i, value in enumerate(values):
-                        problems.extend(_cast_problem(f"sweep {dotted}[{i}]", cast, value))
+    if not isinstance(sweep, (dict, type(None))):
+        problems.append("sweep must be an object")
+    elif sweep:
+        for dotted, values in sweep.items():
+            section, _, key = dotted.partition(".")
+            if section not in ("params", "numerics") or key not in schema.get(section, {}):
+                problems.append(f"sweep key does not name a config entry: {dotted}")
+            elif dotted == "params.model":
+                problems.append("sweep key params.model: the model fixes the other params keys")
+            elif not isinstance(values, list) or not values:
+                problems.append(f"sweep values for {dotted} must be a non-empty list")
+            else:
+                cast = schema[section][key][2]
+                for i, value in enumerate(values):
+                    problems.extend(_cast_problem(f"sweep {dotted}[{i}]", cast, value))
     problems.extend(_grid_problems(experiment, config.get("numerics"), sweep))
     if not problems:
         problems.extend(_params_problems(_resolve(config)))

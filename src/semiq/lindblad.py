@@ -88,7 +88,7 @@ import numpy as np
 from ._blas import blas_threads
 from .errors import DegenerateStationaryState, NumericalFailure, PositivityViolation
 from .integrate import _step_count
-from .quantize import FockSpace, OperatorMatrix, SpinRep
+from .quantize import FockSpace, OperatorMatrix
 
 __all__ = [
     "DensityMatrix",
@@ -174,12 +174,6 @@ class DensityMatrix:
         log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, dim))]))
         amps = np.exp(ns * np.log(complex(alpha)) - 0.5 * log_fact) if alpha != 0 else np.eye(dim)[0].astype(complex)
         return cls.pure_state(amps, FockSpace((dim,)))
-
-    @classmethod
-    def spin_level(cls, rep: SpinRep, index: int) -> "DensityMatrix":
-        vector = np.zeros(rep.dim, dtype=complex)
-        vector[index] = 1.0
-        return cls.pure_state(vector, rep)
 
 
 @dataclass(frozen=True)

@@ -306,6 +306,18 @@ class Polynomial:
             terms[new_key] = terms.get(new_key, 0j) + e * coeff
         return Polynomial._of(self.mode_count, {k: c for k, c in terms.items() if c != 0})
 
+    def contraction(self) -> "Polynomial":
+        """Delta p = sum_a d^2 p / dz_a dz*_a, taken on the term map: each
+        term z_a^k z*_a^l of mode a gives k l z_a^(k-1) z*_a^(l-1)."""
+        terms = {}
+        for key, coeff in self.terms.items():
+            for pos in range(0, len(key), 2):
+                k, l = key[pos], key[pos + 1]
+                if k and l:
+                    new_key = key[:pos] + (k - 1, l - 1) + key[pos + 2:]
+                    terms[new_key] = terms.get(new_key, 0j) + k * l * coeff
+        return Polynomial._of(self.mode_count, {k: c for k, c in terms.items() if c != 0})
+
     def evaluate(self, point) -> complex:
         """Numeric value at one phase point (a PhasePoint or mode_count
         coordinates); z* factors use the conjugate coordinate."""

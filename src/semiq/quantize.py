@@ -2,23 +2,23 @@
 
 Classical polynomials in (z, z*) are mapped to matrices by replacing z with
 the Bose annihilation operator.  Monomials mixing z and z* need an ordering
-choice; the default is Weyl (symmetric) ordering, averaging over every
-interleaving of the factors.  Normal ordering (all creation operators to the
-left) is available so model Hamiltonians can be written in their familiar
-normal-ordered form; on any fixed monomial the two choices differ only by
-identity shifts of lower-degree quantizations.
+choice; there is no default.  `normal_quantize` (z^k z*^l -> (a+)^l a^k) is
+the one quantizer, and every model goes through it
+(`models.quantized_lindblad`).  Weyl (symmetric) ordering is its image of
+exp(Delta/2) p, Delta = sum_a d^2/dz_a dz*_a (Cahill & Glauber 1969,
+Agarwal & Wolf 1970).
 
-Truncation caveat: the top rungs of a truncated ladder cannot satisfy
-[a, a+] = 1, so operator identities are only meaningful on the "safe
-subspace" of levels whose images under every involved operator stay below
-the cut.
+A truncated (a+)^l a^k is the exact compression of the infinite-ladder
+operator, so both quantizations are exact on every kept level.  Products of
+truncated operators are not: the top rungs cannot satisfy [a, a+] = 1, so
+identities between products only hold on the "safe subspace" of levels
+whose images under every involved operator stay below the cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import comb
+from itertools import permutations
 
 import numpy as np
 
@@ -197,30 +197,8 @@ def number(dim: int) -> OperatorMatrix:
     return OperatorMatrix(np.diag(np.arange(dim, dtype=complex)), FockSpace((dim,)))
 
 
-def _weyl_single_mode(k: int, l: int, dim: int) -> np.ndarray:
-    """Average of all interleavings of k annihilators and l creators."""
-    total_factors = k + l
-    if total_factors == 0:
-        return np.eye(dim, dtype=complex)
-    a = _destroy(dim)
-    ad = a.conj().T
-    accum = np.zeros((dim, dim), dtype=complex)
-    for positions in combinations(range(total_factors), k):
-        chosen = set(positions)
-        word = np.eye(dim, dtype=complex)
-        for slot in range(total_factors):
-            word = word @ (a if slot in chosen else ad)
-        accum += word
-    return accum / comb(total_factors, k)
-
-
-def _normal_single_mode(k: int, l: int, dim: int) -> np.ndarray:
-    a = _destroy(dim)
-    ad = a.conj().T
-    return np.linalg.matrix_power(ad, l) @ np.linalg.matrix_power(a, k)
-
-
-def _quantize(poly, space: FockSpace, single_mode) -> OperatorMatrix:
+def normal_quantize(poly, space: FockSpace) -> OperatorMatrix:
+    """Normal-ordered quantization: z^k z*^l -> (a+)^l a^k."""
     if poly.mode_count != space.n_modes:
         raise ValueError(
             f"polynomial has {poly.mode_count} modes, space has {space.n_modes}"
@@ -230,26 +208,29 @@ def _quantize(poly, space: FockSpace, single_mode) -> OperatorMatrix:
         degree = sum(key)
         if degree > MAX_QUANTIZE_DEGREE:
             raise ValueError(
-                f"monomial degree {degree} exceeds the symmetrization limit {MAX_QUANTIZE_DEGREE}"
+                f"monomial degree {degree} exceeds the quantization limit {MAX_QUANTIZE_DEGREE}"
             )
         factor = np.array([[coeff]], dtype=complex)
         for mode, dim in enumerate(space.mode_dims):
-            k = key[2 * mode]
-            l = key[2 * mode + 1]
-            factor = np.kron(factor, single_mode(k, l, dim))
+            a = _destroy(dim)
+            k, l = key[2 * mode], key[2 * mode + 1]
+            factor = np.kron(factor, np.linalg.matrix_power(a.conj().T, l) @ np.linalg.matrix_power(a, k))
         total += factor
     return OperatorMatrix(total, space)
 
 
 def weyl_quantize(poly, space: FockSpace) -> OperatorMatrix:
     """Symmetric (Weyl) quantization: z -> a, z* -> a+, mixed powers averaged
-    over every distinct operator ordering."""
-    return _quantize(poly, space, _weyl_single_mode)
-
-
-def normal_quantize(poly, space: FockSpace) -> OperatorMatrix:
-    """Normal-ordered quantization: z^k z*^l -> (a+)^l a^k."""
-    return _quantize(poly, space, _normal_single_mode)
+    over every operator ordering.  It is normal_quantize(sum_n (Delta/2)^n
+    poly / n!); each contraction lowers the degree by two, so the sum ends,
+    and the top-degree terms, which the degree limit reads, are poly's."""
+    term = symbol = poly
+    n = 0
+    while not term.is_zero:
+        n += 1
+        term = term.contraction() * (0.5 / n)
+        symbol = symbol + term
+    return normal_quantize(symbol, space)
 
 
 def tensor_embed(op: OperatorMatrix, mode: int, space: FockSpace) -> OperatorMatrix:

@@ -2,6 +2,8 @@
 independent oracles for closed forms computed by the library."""
 
 import csv
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -95,6 +97,28 @@ def spin_gradient_by_terms(poly, l):
         if k:
             grad[2] += coeff * k * lx**i * ly**j * lz ** (k - 1)
     return grad
+
+
+def weyl_word_average(poly, space):
+    """Oracle for Weyl ordering: each monomial z^k z*^l of a mode becomes
+    the average of all C(k+l, k) interleavings of k truncated annihilators
+    and l creators, and the modes combine by Kronecker products.  Exact on
+    the safe subspace only: the top rungs see the truncated a a+."""
+    total = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    for key, coeff in poly.terms.items():
+        factor = np.array([[coeff]], dtype=complex)
+        for mode, dim in enumerate(space.mode_dims):
+            k, l = key[2 * mode], key[2 * mode + 1]
+            a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+            accum = np.zeros((dim, dim), dtype=complex)
+            for positions in combinations(range(k + l), k):
+                word = np.eye(dim, dtype=complex)
+                for slot in range(k + l):
+                    word = word @ (a if slot in positions else a.conj().T)
+                accum += word
+            factor = np.kron(factor, accum / comb(k + l, k))
+        total += factor
+    return total
 
 
 def random_hermitian(rng, dim, scale=1.0):

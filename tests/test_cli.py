@@ -272,6 +272,8 @@ def oscillator_with(key, value):
     (flow_with("record_every", 0), "numerics.record_every"),
     (conformance_with("n_samples", 0), "numerics.n_samples"),
     (dict(rotators_config("conformance"), sweep={"numerics.tol": [1e-10, 0.0]}), "numerics.tol[1]"),
+    (limit_cycle_config(sweep=[]), "sweep"),
+    (limit_cycle_config(sweep=0), "sweep"),
 ], ids=["null-required", "null-optional", "null-param", "null-sweep-value",
         "sweep-not-a-number", "sweep-list-for-int", "not-an-int", "fractional-int", "bool-for-int",
         "sweep-fractional-int", "bool-seed", "fractional-sample-every", "negative-sample-every",
@@ -283,7 +285,8 @@ def oscillator_with(key, value):
         "limit-cycle-dim-below-min", "sweep-limit-cycle-dim-below-min", "n-max-below-min",
         "oscillator-dim-below-min", "zero-faq-points", "sweep-zero-faq-points", "negative-null-tol",
         "sweep-null-tol-one", "zero-pos-tol", "sweep-negative-pos-tol", "negative-faq-tol",
-        "zero-record-every", "zero-conformance-samples", "sweep-zero-conformance-tol"])
+        "zero-record-every", "zero-conformance-samples", "sweep-zero-conformance-tol",
+        "sweep-empty-list", "sweep-zero"])
 def test_bad_value_rejected_before_run(tmp_path, capsys, config, named):
     assert_rejected_before_run(tmp_path, capsys, config, named)
 
@@ -320,6 +323,15 @@ def test_numerics_limits_are_the_builder_limits():
 def test_validate_names_null_output_dir():
     # --output-dir overrides it at run time, so only validate can name it
     assert validate_config(limit_cycle_config(output_dir=None)) == ["null value: output_dir"]
+
+
+def test_output_dir_must_be_a_string(tmp_path, capsys, monkeypatch):
+    config = limit_cycle_config(output_dir=5)
+    assert validate_config(config) == ["output_dir must be a string"]
+    path = write_config(tmp_path, config)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(path)]) == 1
+    assert "config error: output_dir must be a string" in capsys.readouterr().err
 
 
 def test_resolve_casts_sweep_values():

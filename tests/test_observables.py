@@ -82,6 +82,21 @@ def test_partial_examples():
     assert p.partial(1, "zc").is_zero
 
 
+def test_contraction_is_sum_of_mixed_partials():
+    """Delta p = sum_a d^2 p / dz_a dz*_a, checked against the partials on
+    exact Gaussian-integer polynomials."""
+    assert (z() ** 2 * zc() ** 3).contraction() == 6.0 * z() * zc() ** 2
+    assert (z() ** 3).contraction().is_zero
+    rng = np.random.default_rng(9)
+    for modes in (1, 2):
+        for _ in range(5):
+            p = random_polynomial(rng, modes, 5)
+            expected = Polynomial.zero(modes)
+            for a in range(modes):
+                expected = expected + p.partial(a, "z").partial(a, "zc")
+            assert p.contraction() == expected
+
+
 def test_partial_bad_mode_raises():
     with pytest.raises(ValueError):
         z().partial(1, "z")

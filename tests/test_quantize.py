@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from helpers import random_polynomial
+from helpers import random_polynomial, weyl_word_average
 from semiq import (
     FockSpace,
     OperatorMatrix,
@@ -74,15 +74,38 @@ def test_weyl_of_z_is_annihilation():
 
 
 def test_weyl_of_z_zc_is_symmetrized():
+    """W(z z*) is a+ a + 1/2 on every rung, the top one included; the
+    average of the truncated words a a+ and a+ a agrees below the top rung."""
     d = 10
     space = FockSpace((d,))
     q = weyl_quantize(QUADRATICS["z zc"], space).mat
-    a = annihilation(d).mat
-    expected = (a @ a.conj().T + a.conj().T @ a) / 2
-    assert np.max(np.abs(q - expected)) <= 1e-13
-    # equals a+ a + 1/2 away from the truncation edge
     shifted = number(d).mat + 0.5 * np.eye(d)
-    assert np.max(np.abs(safe(q, 1) - safe(shifted, 1))) <= 1e-13
+    assert np.max(np.abs(q - shifted)) <= 1e-13
+    a = annihilation(d).mat
+    words = (a @ a.conj().T + a.conj().T @ a) / 2
+    assert np.max(np.abs(safe(q, 1) - safe(words, 1))) <= 1e-13
+
+
+@pytest.mark.parametrize("mode_dims", [(12,), (9, 9)], ids=["one-mode", "two-modes"])
+def test_weyl_is_compression_of_word_average(mode_dims):
+    """W(p) at cut d is, on every entry, the word average at cut d + deg p
+    restricted to the d kept levels: the compression of the infinite-ladder
+    Weyl operator.  At cut d itself the word average agrees on the safe
+    subspace, the levels deg p or more below the cut."""
+    rng = np.random.default_rng(23)
+    space = FockSpace(mode_dims)
+    occupations = [space.occupation(i) for i in range(space.total_dim)]
+    for _ in range(20):
+        p = random_polynomial(rng, len(mode_dims), 4, integer=False)
+        degree = p.degree()
+        q = weyl_quantize(p, space).mat
+        wide = FockSpace(tuple(d + degree for d in mode_dims))
+        kept = [wide.index(occ) for occ in occupations]
+        compressed = weyl_word_average(p, wide)[np.ix_(kept, kept)]
+        assert np.max(np.abs(q - compressed)) <= 1e-14 * np.max(np.abs(compressed))
+        interior = [i for i, occ in enumerate(occupations) if all(n < d - degree for n, d in zip(occ, mode_dims))]
+        words = weyl_word_average(p, space)[np.ix_(interior, interior)]
+        assert np.max(np.abs(q[np.ix_(interior, interior)] - words)) <= 1e-14 * np.max(np.abs(words))
 
 
 def test_weyl_of_pure_power_is_ordering_free():
