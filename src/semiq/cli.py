@@ -25,6 +25,15 @@ Config layout::
 A sweep fans out over the cartesian grid and writes one row per grid point
 into sweep.csv instead of per-point tables.  Runs are deterministic for a
 fixed config and seed: rerunning produces byte-identical files.
+
+Each experiment is one entry of the table `_EXPERIMENTS`: its numerics
+schema (a default, or None for a required key, and a caster per key), the
+model whose params block it takes (classical-flow takes the one that
+`params.model` names), the numerics key of its time step if it has one,
+and its runner.  Validation is resolution: `_resolve` casts each given and
+each swept value once, fills in the defaults, and turns each complaint of a
+caster into a named problem.  `validate_config` returns those problems and
+`resolve_config` raises them as one ConfigError.
 """
 
 from __future__ import annotations
@@ -58,9 +67,6 @@ class ConfigError(ValueError):
     pass
 
 
-EXPERIMENTS = ("oscillator", "limit-cycle", "rotators", "classical-flow", "conformance")
-
-
 @dataclass(frozen=True)
 class _Model:
     """One FAQ model as configs name it.
@@ -77,7 +83,7 @@ class _Model:
 
     @property
     def block(self) -> dict:
-        return {key: (default is None, default, _real) for key, (_name, default) in self.keys.items()}
+        return {key: (default, _real) for key, (_name, default) in self.keys.items()}
 
     def build(self, p: dict):
         return self.params(**{name: p[key] for key, (name, _default) in self.keys.items()})
@@ -100,6 +106,14 @@ _MODELS = {
         models.rotator_faq, models.rotator_field, modes=2,
     ),
 }
+
+
+# -- casters: each takes a JSON value and returns it cast, or raises ---------
+
+
+class _ReadsOn(ValueError):
+    """A caster's complaint worded to follow the key's name, as in
+    "numerics.initial[0] must be ...", not "bad value for <key>: ..."."""
 
 
 def _integer(value) -> int:
@@ -126,40 +140,27 @@ def _real(value) -> float:
     return number
 
 
-def _integer_from(low: int) -> Callable:
-    """The caster of an integer config value of at least low."""
+def _narrowed(cast: Callable, test: Callable, wanted: str) -> Callable:
+    """The caster cast, narrowed to the values that pass test."""
 
-    def cast(value) -> int:
-        number = _integer(value)
-        if number < low:
-            raise ValueError(f"expected an integer of at least {low}, got {value!r}")
+    def narrowed(value):
+        number = cast(value)
+        if not test(number):
+            raise ValueError(f"expected {wanted}, got {value!r}")
         return number
 
-    return cast
+    return narrowed
 
 
-def _positive(value) -> float:
-    """A real config value above zero, such as a tolerance."""
-    number = _real(value)
-    if number <= 0:
-        raise ValueError(f"expected a positive real number, got {value!r}")
-    return number
+def _integer_from(low: int) -> Callable:
+    """The caster of an integer config value of at least low."""
+    return _narrowed(_integer, lambda number: number >= low, f"an integer of at least {low}")
 
 
-def _relative_tol(value) -> float:
-    """A relative tolerance: a real config value strictly between 0 and 1."""
-    number = _real(value)
-    if not 0 < number < 1:
-        raise ValueError(f"expected a real number in (0, 1), got {value!r}")
-    return number
-
-
-def _is_real(value) -> bool:
-    try:
-        _real(value)
-    except (TypeError, ValueError):
-        return False
-    return True
+# a real config value above zero, such as a tolerance
+_positive = _narrowed(_real, lambda number: number > 0, "a positive real number")
+# a relative tolerance: a real config value strictly between 0 and 1
+_relative_tol = _narrowed(_real, lambda number: 0 < number < 1, "a real number in (0, 1)")
 
 
 def _complex_pair(value) -> list:
@@ -171,116 +172,158 @@ def _complex_pair(value) -> list:
     return list(value)
 
 
-# numerics read by the FAQ check of the oscillator, limit-cycle and rotators runs
-_FAQ_CHECK = {
-    "faq_points": (False, 100, _integer_from(1)),
-    "faq_tol": (False, 1e-12, _positive),
-}
-
-# key -> (required, default, caster); classical-flow adds the block of the
-# model named in params.model (see _schema)
-_SCHEMAS = {
-    "oscillator": {
-        "params": _MODELS["oscillator"].block,
-        "numerics": {
-            "dim": (True, None, _integer_from(models.OSCILLATOR_DIM_MIN)),
-            "evolve.dt": (True, None, _real),
-            "t_end": (True, None, _real),
-            "alpha": (False, [2.0, 0.0], _complex_pair),
-            "sample_every": (False, 0, _integer_from(0)),
-            "validate.pos_tol": (False, 1e-8, _positive),
-            **_FAQ_CHECK,
-        },
-    },
-    "limit-cycle": {
-        "params": _MODELS["limit-cycle"].block,
-        "numerics": {
-            "dim": (True, None, _integer_from(models.LIMIT_CYCLE_DIM_MIN)),
-            "n_max": (True, None, _integer_from(models.RECURRENCE_N_MAX_MIN)),
-            "stationary.null_tol": (False, 1e-10, _relative_tol),
-            "validate.pos_tol": (False, 1e-8, _positive),
-            **_FAQ_CHECK,
-        },
-    },
-    "rotators": {
-        "params": _MODELS["rotators"].block,
-        "numerics": {
-            "stationary.null_tol": (False, 1e-10, _relative_tol),
-            "validate.pos_tol": (False, 1e-8, _positive),
-            **_FAQ_CHECK,
-        },
-    },
-    "classical-flow": {
-        "params": {"model": (True, None, str)},
-        "numerics": {
-            "dt": (True, None, _real),
-            "t_end": (True, None, _real),
-            "record_every": (False, 1, _integer_from(1)),
-            "initial": (True, None, list),
-        },
-    },
-    "conformance": {
-        "params": _MODELS["rotators"].block,
-        "numerics": {
-            "n_samples": (False, 50, _integer_from(1)),
-            "tol": (False, 1e-10, _positive),
-        },
-    },
-}
+def _model_name(value) -> str:
+    """params.model of a classical-flow config; _resolve names an unknown one."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a model name, got {value!r}")
+    return value
 
 
-def _schema(experiment: str, params) -> dict:
-    schema = _SCHEMAS[experiment]
-    if experiment == "classical-flow" and isinstance(params, dict) and params.get("model") in _MODELS:
-        return {**schema, "params": {**schema["params"], **_MODELS[params["model"]].block}}
-    return schema
+def _phase_points(model: str | None) -> Callable:
+    """The caster of a classical-flow numerics.initial: a non-empty list of
+    phase points, each a list of [re, im] pairs, one pair per mode of the
+    named model (any number of pairs when no known model is named)."""
+    modes = _MODELS[model].modes if model else None
+
+    def cast(value) -> list:
+        if not isinstance(value, list) or not value:
+            raise _ReadsOn(" must be a non-empty list of phase points")
+        points = []
+        for i, point in enumerate(value):
+            try:
+                if not isinstance(point, list):
+                    raise TypeError(point)
+                points.append([_complex_pair(pair) for pair in point])
+            except (TypeError, ValueError):
+                raise _ReadsOn(f"[{i}] must be a list of [re, im] pairs of finite real numbers") from None
+            if modes is not None and len(point) != modes:
+                raise _ReadsOn(f"[{i}] has {len(point)} modes; model {model} needs {modes}")
+        return points
+
+    return cast
 
 
-def _flow_problems(params, numerics) -> list[str]:
-    """classical-flow checks beyond the keys: a known model, and initial
-    points of [re, im] pairs, one pair per mode of that model."""
-    if not isinstance(params, dict) or "model" not in params or not isinstance(numerics, dict):
-        return []  # reported as a missing key or a malformed section
-    name = params["model"]
-    if name not in _MODELS:
-        return [f"unknown params.model {name!r}; expected one of {', '.join(_MODELS)}"]
-    if "initial" not in numerics:
-        return []
-    initial = numerics["initial"]
-    if not isinstance(initial, list) or not initial:
-        return ["numerics.initial must be a non-empty list of phase points"]
-    modes = _MODELS[name].modes
+# -- resolution --------------------------------------------------------------
+
+
+_TOP_KEYS = ("experiment", "seed", "output_dir", "params", "numerics", "sweep")
+
+
+def _null_paths(value, path: str):
+    """Dotted paths of every JSON null inside value."""
+    if value is None:
+        yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _null_paths(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _null_paths(item, f"{path}[{i}]")
+
+
+def _cast(name: str, caster: Callable, value, problems: list[str]):
+    """value as its caster returns it, or None with the caster's complaint
+    added to problems.  A null stays None; the null check names it."""
+    if value is None:
+        return None
+    try:
+        return caster(value)
+    except _ReadsOn as exc:
+        problems.append(f"{name}{exc}")
+    except (TypeError, ValueError) as exc:
+        problems.append(f"bad value for {name}: {exc}")
+    return None
+
+
+def _resolve(config) -> tuple[dict, list[str]]:
+    """The config with every given and swept value cast once and every
+    default filled in, and the problems met on the way.
+
+    A value that is missing, null or rejected resolves to None, so the
+    resolved config is complete only when there are no problems; only then
+    are the model's parameters built at every sweep point and checked.
+    """
+    if not isinstance(config, dict):
+        return {}, ["config must be a JSON object"]
+    experiment = config.get("experiment")
+    if experiment is None:
+        return {}, ["missing key: experiment"]
+    if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
+        return {}, [f"unknown experiment {experiment!r}; expected one of {', '.join(_EXPERIMENTS)}"]
+    spec = _EXPERIMENTS[experiment]
     problems = []
-    for i, point in enumerate(initial):
-        if not isinstance(point, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 and all(_is_real(x) for x in pair)
-            for pair in point
-        ):
-            problems.append(f"numerics.initial[{i}] must be a list of [re, im] pairs of finite real numbers")
-        elif len(point) != modes:
-            problems.append(f"numerics.initial[{i}] has {len(point)} modes; model {name} needs {modes}")
-    return problems
+    seed = config.get("seed")
+    if "seed" not in config:
+        problems.append("missing key: seed")
+    elif isinstance(seed, bool) or not isinstance(seed, int):
+        problems.append("seed must be an integer")
+    problems += [f"extra key: {key}" for key in config if key not in _TOP_KEYS]
+    problems += [f"null value: {path}" for path in _null_paths(config, "")]
+
+    model = spec.model
+    if model is None:  # classical-flow: params.model names the model
+        params = config.get("params")
+        name = params.get("model") if isinstance(params, dict) else None
+        model = name if isinstance(name, str) and name in _MODELS else None
+    schema = {"params": _MODELS[model].block if model else {}, "numerics": spec.numerics}
+    if spec.model is None:
+        schema["params"] = {"model": (None, _model_name), **schema["params"]}
+        schema["numerics"] = {**spec.numerics, "initial": (None, _phase_points(model))}
+
+    resolved = {"experiment": experiment, "seed": seed, "output_dir": config.get("output_dir", "runs"), "sweep": {}}
+    for section, keys in schema.items():
+        given = config.get(section, {})
+        if not isinstance(given, dict):
+            problems.append(f"{section} must be an object")
+            resolved[section] = None
+            continue
+        problems += [f"missing key: {section}.{key}" for key in keys if keys[key][0] is None and key not in given]
+        resolved[section] = {key: _cast(key, caster, default, problems) for key, (default, caster) in keys.items()}
+        for key, value in given.items():
+            if key in keys:
+                resolved[section][key] = _cast(f"{section}.{key}", keys[key][1], value, problems)
+            else:
+                problems.append(f"extra key: {section}.{key}")
+    name = (resolved["params"] or {}).get("model")
+    if name is not None and name not in _MODELS:
+        problems.append(f"unknown params.model {name!r}; expected one of {', '.join(_MODELS)}")
+    # a null output_dir or sweep is named by the null check
+    if not isinstance(config.get("output_dir", ""), (str, type(None))):
+        problems.append("output_dir must be a string")
+    sweep = config.get("sweep", {})
+    if not isinstance(sweep, (dict, type(None))):
+        problems.append("sweep must be an object")
+    for dotted, values in sweep.items() if isinstance(sweep, dict) else ():
+        section, _, key = dotted.partition(".")
+        if key not in schema.get(section, {}):
+            problems.append(f"sweep key does not name a config entry: {dotted}")
+        elif dotted == "params.model":
+            problems.append("sweep key params.model: the model fixes the other params keys")
+        elif not isinstance(values, list) or not values:
+            problems.append(f"sweep values for {dotted} must be a non-empty list")
+        else:
+            caster = schema[section][key][1]
+            resolved["sweep"][dotted] = [
+                _cast(f"sweep {dotted}[{i}]", caster, value, problems) for i, value in enumerate(values)
+            ]
+    problems += _grid_problems(spec.time_step, resolved)
+    if not problems:
+        problems += _params_problems(resolved, model)
+    return resolved, problems
 
 
-# experiment -> the numerics key of its time step; these runs take
-# round(t_end / dt) steps (integrate._step_count)
-_TIME_STEPS = {"oscillator": "evolve.dt", "classical-flow": "dt"}
-
-
-def _grid_problems(experiment: str, numerics, sweep) -> list[str]:
+def _grid_problems(dt_key: str | None, resolved: dict) -> list[str]:
     """Time grids, swept values included, that do not end at t_end: a step
     that is not positive, a negative t_end, or a t_end that is not a whole
-    number of steps to 1e-9 relative."""
-    dt_key = _TIME_STEPS.get(experiment)
-    if dt_key is None or not isinstance(numerics, dict):
+    number of steps to 1e-9 relative.  A key with a value that did not
+    resolve is skipped; its problem is already named."""
+    numerics = resolved["numerics"]
+    if dt_key is None or numerics is None:
         return []
 
     def values(key):
-        swept = sweep.get(f"numerics.{key}") if isinstance(sweep, dict) else None
-        try:
-            return [_real(value) for value in (swept if isinstance(swept, list) else [numerics.get(key)])]
-        except (TypeError, ValueError):
-            return []  # reported as a missing key or a bad value
+        values = resolved["sweep"].get(f"numerics.{key}", [numerics[key]])
+        return [] if None in values else values
 
     t_ends, steps = values("t_end"), values(dt_key)
     problems = [f"numerics.{dt_key} must be positive, got {dt!r}" for dt in steps if dt <= 0]
@@ -297,29 +340,21 @@ def _grid_problems(experiment: str, numerics, sweep) -> list[str]:
     return problems
 
 
-def _params_problems(resolved: dict) -> list[str]:
+def _params_problems(resolved: dict, model: str) -> list[str]:
     """Model parameters that the model's params dataclass rejects, at every
     point of the sweep grid over params keys, and the values a run's
     baseline rejects: rotators spin sizes above the exact-solve limit and a
     limit-cycle gain lambda that is not positive (recurrence_stationary
     needs nu > 0)."""
     experiment = resolved["experiment"]
-    if experiment == "classical-flow":
-        name = resolved["params"]["model"]
-    elif experiment == "conformance":
-        name = "rotators"
-    else:
-        name = experiment
-    swept = {dotted: values for dotted, values in resolved["sweep"].items() if dotted.startswith("params.")}
+    keys = [dotted for dotted in resolved["sweep"] if dotted.startswith("params.")]
     problems = []
-    for combo in product(*swept.values()):
-        point = dict(zip(swept, combo))
-        p = {**resolved["params"], **{dotted.partition(".")[2]: value for dotted, value in point.items()}}
+    for combo, point in _grid(resolved, keys):
         where = "bad params"
-        if point:
-            where += " at sweep point " + ", ".join(f"{dotted}={value!r}" for dotted, value in point.items())
+        if keys:
+            where += " at sweep point " + ", ".join(f"{dotted}={value!r}" for dotted, value in zip(keys, combo))
         try:
-            params = _MODELS[name].build(p)
+            params = _MODELS[model].build(point["params"])
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
             continue
@@ -334,123 +369,27 @@ def _params_problems(resolved: dict) -> list[str]:
     return problems
 
 
-def _null_paths(value, path: str):
-    """Dotted paths of every JSON null inside value."""
-    if value is None:
-        yield path
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            yield from _null_paths(item, f"{path}.{key}" if path else str(key))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            yield from _null_paths(item, f"{path}[{i}]")
-
-
-def _cast(cast, value):
-    return list(value) if cast is list else cast(value)
-
-
-def _cast_problem(name: str, cast, value) -> list[str]:
-    """A problem naming a value its schema caster rejects; nulls are named
-    by the null check instead."""
-    if value is None:
-        return []
-    try:
-        _cast(cast, value)
-    except (TypeError, ValueError) as exc:
-        return [f"bad value for {name}: {exc}"]
-    return []
+def _grid(resolved: dict, keys: list[str]):
+    """Each point of the grid over the given sweep keys: its values, and the
+    resolved config of the single run there."""
+    for combo in product(*(resolved["sweep"][key] for key in keys)):
+        point = {**resolved, "params": dict(resolved["params"]), "numerics": dict(resolved["numerics"]), "sweep": {}}
+        for dotted, value in zip(keys, combo):
+            section, _, key = dotted.partition(".")
+            point[section][key] = value
+        yield combo, point
 
 
 def validate_config(config: dict) -> list[str]:
     """Schema check without running; returns a list of named problems."""
-    problems: list[str] = []
-    if not isinstance(config, dict):
-        return ["config must be a JSON object"]
-    experiment = config.get("experiment")
-    if experiment is None:
-        return ["missing key: experiment"]
-    if experiment not in EXPERIMENTS:
-        return [f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}"]
-    schema = _schema(experiment, config.get("params"))
-    if "seed" not in config:
-        problems.append("missing key: seed")
-    elif isinstance(config["seed"], bool) or not isinstance(config["seed"], int):
-        problems.append("seed must be an integer")
-    allowed_top = {"experiment", "seed", "output_dir", "params", "numerics", "sweep"}
-    for key in config:
-        if key not in allowed_top:
-            problems.append(f"extra key: {key}")
-    problems.extend(f"null value: {path}" for path in _null_paths(config, ""))
-    for section in ("params", "numerics"):
-        given = config.get(section, {})
-        if not isinstance(given, dict):
-            problems.append(f"{section} must be an object")
-            continue
-        for key, (required, _default, _caster) in schema[section].items():
-            if required and key not in given:
-                problems.append(f"missing key: {section}.{key}")
-        for key, value in given.items():
-            if key not in schema[section]:
-                problems.append(f"extra key: {section}.{key}")
-            else:
-                problems.extend(_cast_problem(f"{section}.{key}", schema[section][key][2], value))
-    if experiment == "classical-flow":
-        problems.extend(_flow_problems(config.get("params", {}), config.get("numerics", {})))
-    # a null output_dir or sweep is named by the null check above
-    if not isinstance(config.get("output_dir", ""), (str, type(None))):
-        problems.append("output_dir must be a string")
-    sweep = config.get("sweep", {})
-    if not isinstance(sweep, (dict, type(None))):
-        problems.append("sweep must be an object")
-    elif sweep:
-        for dotted, values in sweep.items():
-            section, _, key = dotted.partition(".")
-            if section not in ("params", "numerics") or key not in schema.get(section, {}):
-                problems.append(f"sweep key does not name a config entry: {dotted}")
-            elif dotted == "params.model":
-                problems.append("sweep key params.model: the model fixes the other params keys")
-            elif not isinstance(values, list) or not values:
-                problems.append(f"sweep values for {dotted} must be a non-empty list")
-            else:
-                cast = schema[section][key][2]
-                for i, value in enumerate(values):
-                    problems.extend(_cast_problem(f"sweep {dotted}[{i}]", cast, value))
-    problems.extend(_grid_problems(experiment, config.get("numerics"), sweep))
-    if not problems:
-        problems.extend(_params_problems(_resolve(config)))
-    return problems
+    return _resolve(config)[1]
 
 
 def resolve_config(config: dict) -> dict:
     """Fill in every default so the manifest carries no hidden settings."""
-    problems = validate_config(config)
+    resolved, problems = _resolve(config)
     if problems:
         raise ConfigError("; ".join(problems))
-    return _resolve(config)
-
-
-def _resolve(config: dict) -> dict:
-    """The config with every default filled in and every value cast; its
-    keys and values must already have passed validate_config's checks."""
-    experiment = config["experiment"]
-    schema = _schema(experiment, config.get("params"))
-    resolved = {
-        "experiment": experiment,
-        "seed": int(config["seed"]),
-        "output_dir": config.get("output_dir", "runs"),
-        "params": {},
-        "numerics": {},
-        "sweep": {},
-    }
-    for section in ("params", "numerics"):
-        given = config.get(section, {})
-        for key, (_required, default, cast) in schema[section].items():
-            resolved[section][key] = _cast(cast, given.get(key, default))
-    for dotted, values in config.get("sweep", {}).items():
-        section, _, key = dotted.partition(".")
-        cast = schema[section][key][2]
-        resolved["sweep"][dotted] = [_cast(cast, value) for value in values]
     return resolved
 
 
@@ -616,55 +555,103 @@ def _run_conformance(resolved: dict, out_dir: Path | None) -> dict:
     return summary
 
 
-_RUNNERS = {
-    "oscillator": _run_oscillator,
-    "limit-cycle": _run_limit_cycle,
-    "rotators": _run_rotators,
-    "classical-flow": _run_classical_flow,
-    "conformance": _run_conformance,
+# -- the experiment table ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """What a config's experiment fixes.
+
+    `numerics` maps each key of the numerics block to its default (None:
+    required) and its caster.  `model` names the model whose params block
+    the experiment takes; None for classical-flow, where params.model names
+    it.  `time_step` is the numerics key of the step of a run that takes
+    round(t_end / dt) steps (integrate._step_count), or None.  `run` takes
+    the resolved config and the run directory (None at a sweep point) and
+    returns the summary entries.
+    """
+
+    numerics: dict
+    model: str | None
+    time_step: str | None
+    run: Callable
+
+
+# numerics read by the FAQ check of the oscillator, limit-cycle and rotators runs
+_FAQ_CHECK = {
+    "faq_points": (100, _integer_from(1)),
+    "faq_tol": (1e-12, _positive),
+}
+
+_EXPERIMENTS = {
+    "oscillator": _Experiment(
+        {
+            "dim": (None, _integer_from(models.OSCILLATOR_DIM_MIN)),
+            "evolve.dt": (None, _real),
+            "t_end": (None, _real),
+            "alpha": ([2.0, 0.0], _complex_pair),
+            "sample_every": (0, _integer_from(0)),
+            "validate.pos_tol": (1e-8, _positive),
+            **_FAQ_CHECK,
+        },
+        "oscillator", "evolve.dt", _run_oscillator,
+    ),
+    "limit-cycle": _Experiment(
+        {
+            "dim": (None, _integer_from(models.LIMIT_CYCLE_DIM_MIN)),
+            "n_max": (None, _integer_from(models.RECURRENCE_N_MAX_MIN)),
+            "stationary.null_tol": (1e-10, _relative_tol),
+            "validate.pos_tol": (1e-8, _positive),
+            **_FAQ_CHECK,
+        },
+        "limit-cycle", None, _run_limit_cycle,
+    ),
+    "rotators": _Experiment(
+        {
+            "stationary.null_tol": (1e-10, _relative_tol),
+            "validate.pos_tol": (1e-8, _positive),
+            **_FAQ_CHECK,
+        },
+        "rotators", None, _run_rotators,
+    ),
+    # _resolve adds numerics.initial, cast for the model that params.model names
+    "classical-flow": _Experiment(
+        {
+            "dt": (None, _real),
+            "t_end": (None, _real),
+            "record_every": (1, _integer_from(1)),
+        },
+        None, "dt", _run_classical_flow,
+    ),
+    "conformance": _Experiment(
+        {
+            "n_samples": (50, _integer_from(1)),
+            "tol": (1e-10, _positive),
+        },
+        "rotators", None, _run_conformance,
+    ),
 }
 
 
 # -- sweep machinery ---------------------------------------------------------
 
 
-def _apply_override(resolved: dict, dotted: str, value):
-    section, _, key = dotted.partition(".")
-    out = json.loads(json.dumps(resolved))
-    out[section][key] = value
-    out["sweep"] = {}
-    return out
-
-
-def _sweep_point(payload: str) -> dict:
-    resolved = json.loads(payload)
-    runner = _RUNNERS[resolved["experiment"]]
-    return runner(resolved, None)
+def _sweep_point(point: dict) -> dict:
+    return _EXPERIMENTS[point["experiment"]].run(point, None)
 
 
 def _run_sweep(resolved: dict, out_dir: Path, jobs: int) -> dict:
-    sweep = resolved["sweep"]
-    keys = sorted(sweep)
-    grids = [sweep[key] for key in keys]
-    points = []
-    for combo in product(*grids):
-        overridden = json.loads(json.dumps(resolved))
-        for dotted, value in zip(keys, combo):
-            overridden = _apply_override(overridden, dotted, value)
-        points.append((combo, overridden))
-    payloads = [json.dumps(point, sort_keys=True) for _combo, point in points]
+    keys = sorted(resolved["sweep"])
+    combos, points = zip(*_grid(resolved, keys))
     workers = min(jobs, len(points), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_sweep_point, payloads))
+            summaries = list(pool.map(_sweep_point, points))
     else:
-        summaries = [_sweep_point(payload) for payload in payloads]
-    summary_keys = sorted(summaries[0]) if summaries else []
-    header = list(keys) + summary_keys
-    rows = []
-    for (combo, _point), summary in zip(points, summaries):
-        rows.append(list(combo) + [summary[k] for k in summary_keys])
-    write_csv(out_dir / "sweep.csv", header, zip(*rows))
+        summaries = [_sweep_point(point) for point in points]
+    summary_keys = sorted(summaries[0])
+    rows = [list(combo) + [summary[k] for k in summary_keys] for combo, summary in zip(combos, summaries)]
+    write_csv(out_dir / "sweep.csv", keys + summary_keys, zip(*rows))
     return {"grid_points": len(points), "sweep_keys": ",".join(keys)}
 
 
@@ -679,11 +666,12 @@ def run_config(config: dict, output_dir: str | None = None, seed: int | None = N
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    config = dict(config)
-    if seed is not None:
-        config["seed"] = seed
-    if output_dir is not None:
-        config["output_dir"] = output_dir
+    if isinstance(config, dict):  # resolve_config names any other value
+        config = dict(config)
+        if seed is not None:
+            config["seed"] = seed
+        if output_dir is not None:
+            config["output_dir"] = output_dir
     resolved = resolve_config(config)
     run_hash = _config_hash(resolved)
     out_dir = Path(resolved["output_dir"]) / f"{resolved['experiment']}-{run_hash}"
@@ -692,7 +680,7 @@ def run_config(config: dict, output_dir: str | None = None, seed: int | None = N
     if resolved["sweep"]:
         summary = _run_sweep(resolved, out_dir, jobs)
     else:
-        summary = _RUNNERS[resolved["experiment"]](resolved, out_dir)
+        summary = _EXPERIMENTS[resolved["experiment"]].run(resolved, out_dir)
 
     summary_payload = {"experiment": resolved["experiment"], "seed": resolved["seed"], **summary}
     _write_json(out_dir / "summary.json", summary_payload)

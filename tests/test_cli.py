@@ -190,6 +190,35 @@ def test_classical_flow_rejected_before_run(tmp_path, capsys, config, named):
     assert_rejected_before_run(tmp_path, capsys, config, named)
 
 
+@pytest.mark.parametrize("config, named", [
+    (flow_config(params={"model": []}), "bad value for params.model: expected a model name, got []"),
+    (flow_config(params={"model": 5}), "bad value for params.model: expected a model name, got 5"),
+    (flow_config(sweep={"numerics.initial": ["ab"]}),
+     "sweep numerics.initial[0] must be a non-empty list of phase points"),
+    (flow_config(sweep={"numerics.initial": [[[[0.1, 0]]], [[["x", 0]]]]}),
+     "sweep numerics.initial[1][0] must be a list of [re, im] pairs of finite real numbers"),
+    (flow_config(sweep={"numerics.initial": [[[[0.1, 0], [0.2, 0]]]]}),
+     "sweep numerics.initial[0][0] has 2 modes; model limit-cycle needs 1"),
+    ([1], "config must be a JSON object"),
+    (3, "config must be a JSON object"),
+    (None, "config must be a JSON object"),
+    ("abc", "config must be a JSON object"),
+], ids=["list-model", "numeric-model", "swept-initial-string", "swept-initial-string-coordinate",
+        "swept-initial-two-modes", "list-config", "number-config", "null-config", "string-config"])
+def test_config_error_is_named_not_raised(tmp_path, capsys, config, named):
+    """Configs that validate and run once let through or crashed on: each is
+    a named config error, exit 1, from validate and from run alike."""
+    path = write_config(tmp_path, config)
+    assert main(["validate", str(path)]) == 1
+    said = capsys.readouterr()
+    assert f"invalid: {named}" in said.out and "Traceback" not in said.err
+    out_root = tmp_path / "runs"
+    assert main(["run", str(path), "--output-dir", str(out_root)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: " in err and named in err and "Traceback" not in err
+    assert not out_root.exists()
+
+
 def assert_rejected_before_run(tmp_path, capsys, config, named):
     path = write_config(tmp_path, config)
     assert main(["validate", str(path)]) == 1
