@@ -315,15 +315,15 @@ def _resolve(config) -> tuple[dict, list[str]]:
 def _grid_problems(dt_key: str | None, resolved: dict) -> list[str]:
     """Time grids, swept values included, that do not end at t_end: a step
     that is not positive, a negative t_end, or a t_end that is not a whole
-    number of steps to 1e-9 relative.  A key with a value that did not
-    resolve is skipped; its problem is already named."""
+    number of steps to 1e-9 relative.  A value that did not resolve is
+    skipped, its problem already named; the values beside it are checked."""
     numerics = resolved["numerics"]
     if dt_key is None or numerics is None:
         return []
 
     def values(key):
         values = resolved["sweep"].get(f"numerics.{key}", [numerics[key]])
-        return [] if None in values else values
+        return [value for value in values if value is not None]
 
     t_ends, steps = values("t_end"), values(dt_key)
     problems = [f"numerics.{dt_key} must be positive, got {dt!r}" for dt in steps if dt <= 0]

@@ -6,9 +6,9 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy.linalg import expm
 
 from semiq import DegenerateStationaryState, DensityMatrix, NumericalFailure, OperatorMatrix, Polynomial
-from semiq.integrate import rk4_step
 from semiq.lindblad import POSITIVITY_TOL, _apply_stencil, liouvillian_matrix
 from semiq.models import MomentState, SpinPolynomial
 
@@ -222,10 +222,23 @@ def hermitian_rhs(model, rho):
     return m + m.conj().T
 
 
-def hermitian_rk4_step(model, rho, dt):
-    """Oracle for one evolve step: the classical RK4 step over the Hermitian
-    form, stages combined as k1 + 2 k2 + 2 k3 + k4."""
-    return rk4_step(lambda _t, mat: hermitian_rhs(model, mat), 0.0, rho, dt)
+def expm_samples(generator, positions, rho0, taus):
+    """Oracle for evolve's samples: rho0, then each state exp(tau L) of the
+    one before, for tau in taus, by scipy's expm of the generator's blocks.
+    generator(positions) is the block of L at the given column-stacked
+    positions of rho, as liouvillian_matrix(model, positions) returns it;
+    positions is a list of index arrays over which L is block diagonal."""
+    d = rho0.shape[0]
+    propagators = {
+        tau: [expm(tau * generator(block)) for block in positions] for tau in set(taus)
+    }
+    vec = rho0.ravel(order="F").copy()
+    states = [rho0]
+    for tau in taus:
+        for block, propagator in zip(positions, propagators[tau]):
+            vec[block] = propagator @ vec[block]
+        states.append(vec.reshape((d, d), order="F").copy())
+    return states
 
 
 def svd_stationary(model, null_tol=1e-10, residual_tol=1e-10, pos_tol=POSITIVITY_TOL):

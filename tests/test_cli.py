@@ -333,6 +333,16 @@ def test_time_grid_off_step_rejected_before_run(tmp_path, capsys, config, dt_key
     assert_rejected_before_run(tmp_path, capsys, config, dt_key)
 
 
+def test_off_grid_step_named_beside_bad_value(tmp_path, capsys):
+    """A swept value that does not resolve hides none of the off-grid
+    values beside it."""
+    config = oscillator_config(sweep={"numerics.evolve.dt": [0.03, "x"]})
+    bad, off_grid = validate_config(config)
+    assert "sweep numerics.evolve.dt[1]" in bad
+    assert "numerics.t_end 0.1 is not a whole number of numerics.evolve.dt 0.03 steps" in off_grid
+    assert_rejected_before_run(tmp_path, capsys, config, "evolve.dt 0.03 steps")
+
+
 def test_rotators_limit_is_the_exact_solve_limit():
     assert validate_config(rotators_config(l=EXACT_SPIN_L_MAX)) == []
 
@@ -559,6 +569,22 @@ def test_sweep_writes_one_row_per_point(tmp_path):
     qs = [float(row[q_col]) for row in rows[1:]]
     assert qs[0] < 0 < qs[2]
     assert abs(qs[1]) <= 1e-8
+
+
+def test_oscillator_time_step_sweep_runs(tmp_path):
+    """evolve.dt sets the quantum sample grid and the classical step: a
+    coarse 0.1 at d = 40 runs and ends in the state dt = 0.001 reaches."""
+    config = json.loads((CONFIG_DIR / "oscillator.json").read_text())
+    config["numerics"]["t_end"] = 2.0
+    config["sweep"] = {"numerics.evolve.dt": [0.001, 0.1]}
+    path = write_config(tmp_path, config)
+    out_root = tmp_path / "runs"
+    assert main(["run", str(path), "--output-dir", str(out_root)]) == 0
+    with open(run_dir_of(out_root) / "sweep.csv") as handle:
+        header, *rows = list(csv.reader(handle))
+    assert [float(row[0]) for row in rows] == [0.001, 0.1]
+    fine, coarse = (float(row[header.index("mean_n_final")]) for row in rows)
+    assert abs(fine - coarse) <= 1e-12
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

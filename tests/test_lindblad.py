@@ -1,10 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import (
     commutator_rhs,
+    expm_samples,
     hermitian_rhs,
-    hermitian_rk4_step,
     random_density,
     random_density_operator,
     random_hermitian,
@@ -18,6 +21,7 @@ from semiq import (
     LindbladModel,
     OperatorMatrix,
     PositivityViolation,
+    SeriesDivergence,
     adjoint_generator,
     adjoint_rate,
     annihilation,
@@ -30,8 +34,7 @@ from semiq import (
     number,
     stationary,
 )
-from semiq import _blas
-from semiq.integrate import rk4_step
+from semiq import _blas, lindblad
 from semiq.models import (
     LimitCycleParams,
     OscillatorParams,
@@ -45,6 +48,9 @@ from semiq.models import (
     rotator_spin_model,
     rotator_spin_operators,
 )
+
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def decay_model(dim):
@@ -148,7 +154,7 @@ def test_unitary_evolution_conserves_purity():
 
 
 def test_evolve_stays_exactly_hermitian():
-    """Every RK4 stage of the oscillator run is Hermitian to the last bit; a
+    """Every term of the oscillator run is Hermitian to the last bit; a
     right-hand side that lets rounding feed the anti-Hermitian part fails."""
     model = oscillator_lindblad(OscillatorParams(1.0, 0.1, 0.2), 20)
     result = evolve(model, DensityMatrix.coherent_state(20, 1.5 + 0.5j), 2.5, 1e-3, sample_every=50)
@@ -157,40 +163,124 @@ def test_evolve_stays_exactly_hermitian():
     assert result.max_trace_deviation <= 1e-12
 
 
-def test_evolve_matches_commutator_oracle():
-    """2000 RK4 steps of the oscillator at d=40 against the same RK4 loop
-    over the expanded-commutator generator."""
-    model = oscillator_lindblad(OscillatorParams(1.0, 0.1, 0.0), 40)
-    rho0 = DensityMatrix.coherent_state(40, 2.0)
-    result = evolve(model, rho0, 2.0, 1e-3)
-    rho = rho0.mat
-    for step in range(2000):
-        rho = rk4_step(lambda _t, mat: commutator_rhs(model, mat), step * 1e-3, rho, 1e-3)
-    assert np.max(np.abs(result.final.mat - rho)) <= 1e-12
+def evolve_against_oracle(model, rho0, t_end, sample_every, observables, generator, positions):
+    """evolve's samples and final state against expm_samples over the same
+    intervals: sample_every steps of 1e-3 each, and the steps left at the
+    end.  Returns the largest deviation of any sampled expectation and of
+    the final matrix, and the result."""
+    n_steps = round(t_end / 1e-3)
+    steps = [sample_every] * (n_steps // sample_every) + [n_steps % sample_every] * (n_steps % sample_every > 0)
+    result = evolve(model, rho0, t_end, 1e-3, observables=observables, sample_every=sample_every)
+    states = expm_samples(generator, positions, rho0.mat, [count * 1e-3 for count in steps])
+    assert len(result.times) == len(states)
+    deviation = max(
+        np.max(np.abs(result.expectations[name] - [np.trace(state @ op.mat) for state in states]))
+        for name, op in observables.items()
+    )
+    return max(deviation, np.max(np.abs(result.final.mat - states[-1]))), result
 
 
-EVOLVE_STEP_CASES = {
-    "oscillator-u0": lambda rng: (
-        oscillator_lindblad(OscillatorParams(1.0, 0.1, 0.0), 40), DensityMatrix.coherent_state(40, 2.0 + 0.5j)
+EXPM_CASES = {
+    # (model, rho0, t_end, sample_every); tau ||L||_1 is 0.95, 2.0 (the
+    # last interval half as long), 4.15, 8.4 (two substeps a sample) and 65
+    # (thirteen)
+    "oscillator-d10": lambda rng: (
+        oscillator_lindblad(OscillatorParams(1.0, 0.1, 0.0), 10), DensityMatrix.coherent_state(10, 1.0 + 0.5j), 2.0, 100
+    ),
+    "oscillator-d20": lambda rng: (
+        oscillator_lindblad(OscillatorParams(1.0, 0.1, 0.0), 20), DensityMatrix.coherent_state(20, 1.5), 2.05, 100
+    ),
+    "oscillator-d40": lambda rng: (
+        oscillator_lindblad(OscillatorParams(1.0, 0.1, 0.0), 40), DensityMatrix.coherent_state(40, 2.0 + 0.5j), 2.0, 100
     ),
     "oscillator-u0.2": lambda rng: (
-        oscillator_lindblad(OscillatorParams(1.0, 0.1, 0.2), 40), random_density(rng, 40)
+        oscillator_lindblad(OscillatorParams(1.0, 0.1, 0.2), 40), random_density(rng, 40), 2.0, 200
     ),
     "limit-cycle": lambda rng: (
-        limit_cycle_lindblad(LimitCycleParams(1.0, 0.7, 0.4), 30), random_density(rng, 30)
+        limit_cycle_lindblad(LimitCycleParams(1.0, 0.7, 0.4), 30), random_density(rng, 30), 1.0, 50
     ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(EVOLVE_STEP_CASES))
-def test_evolve_step_matches_rk4_oracle(case):
-    """One Horner-form evolve step is the classical RK4 step over the
-    Hermitian form, up to the rounding of the regrouped sums."""
-    model, rho0 = EVOLVE_STEP_CASES[case](np.random.default_rng(36))
-    stepped = evolve(model, rho0, 1e-3, 1e-3).final.mat
-    expected = hermitian_rk4_step(model, rho0.mat, 1e-3)
-    assert np.max(np.abs(stepped - expected)) <= 1e-15 * np.max(np.abs(expected))
-    assert np.array_equal(stepped, stepped.conj().T)
+@pytest.mark.parametrize("case", sorted(EXPM_CASES))
+def test_evolve_matches_expm_oracle(case):
+    """Every sample is exp(tau L) of the one before, to 1e-12, and exactly
+    Hermitian; the oracle exponentiates each sector block of
+    liouvillian_matrix with scipy."""
+    model, rho0, t_end, sample_every = EXPM_CASES[case](np.random.default_rng(36))
+    d = model.dim
+    deviation, result = evolve_against_oracle(
+        model, rho0, t_end, sample_every, {"a": annihilation(d), "n": number(d)},
+        lambda positions: liouvillian_matrix(model, positions), liouvillian_sectors(model),
+    )
+    assert deviation <= 1e-12
+    assert result.max_hermiticity_deviation == 0.0
+    assert np.array_equal(result.final.mat, result.final.mat.conj().T)
+
+
+def test_evolve_matches_commutator_oracle():
+    """A dense two-channel generator, every flat shift in its stencil,
+    against expm of the generator built column by column from the expanded
+    commutators, with no use of the stencil or of liouvillian_matrix.
+    tau ||L||_1 is above the substep bound, so a sample takes several
+    substeps, and the run ends on a shorter interval."""
+    rng = np.random.default_rng(37)
+    model = two_channel_model(8)
+    d = model.dim
+    basis = np.eye(d * d).reshape(d * d, d, d).transpose(0, 2, 1)  # column-stacked units
+    dense = np.stack([commutator_rhs(model, unit).ravel(order="F") for unit in basis], axis=1)
+    observable = random_hermitian(rng, d)
+    deviation, result = evolve_against_oracle(
+        model, random_density(rng, d), 1.0, 300, {"x": observable},
+        lambda positions: dense[np.ix_(positions, positions)], [np.arange(d * d)],
+    )
+    assert 0.3 * model._norm > lindblad.SUBSTEP_NORM
+    assert deviation <= 1e-12
+    assert result.max_hermiticity_deviation == 0.0
+
+
+@pytest.mark.parametrize("case", sorted(set(RHS_CASES) - {"oscillator-d80"}))
+def test_norm_is_liouvillian_one_norm(case):
+    """The stencil's 1-norm bound is the largest column sum of |L|."""
+    model = RHS_CASES[case]()
+    expected = np.abs(liouvillian_matrix(model)).sum(axis=0).max()
+    assert abs(model._norm - expected) <= 1e-12 * expected
+
+
+def test_evolve_pass_counts():
+    """The perfbench d = 80 oscillator, sampled every 2 steps, takes at most
+    the 8 passes a sample that two RK4 steps took; the shipped d = 40 run
+    takes fewer than the 80 000 stages of its 20 000 RK4 steps."""
+
+    def run(path):
+        config = json.loads(path.read_text())
+        p, n = config["params"], config["numerics"]
+        model = oscillator_lindblad(OscillatorParams(p["omega0"], p["lambda"], p["u"]), n["dim"])
+        return evolve(model, DensityMatrix.coherent_state(n["dim"], complex(*n["alpha"])), n["t_end"], n["evolve.dt"])
+
+    bench = run(REPO / "perfbench" / "configs" / "oscillator_d80.json")
+    assert 0 < bench.stencil_passes <= 8 * (len(bench.times) - 1)
+    assert run(REPO / "configs" / "oscillator.json").stencil_passes < 80_000
+
+
+def test_evolve_time_step_sets_only_the_sample_grid():
+    """dt = 0.1 and dt = 0.001 give the same <a> at their shared times."""
+    model = oscillator_lindblad(OscillatorParams(1.0, 0.1, 0.0), 40)
+    rho0 = DensityMatrix.coherent_state(40, 2.0)
+    coarse = evolve(model, rho0, 2.0, 0.1, observables={"a": annihilation(40)})
+    fine = evolve(model, rho0, 2.0, 0.001, observables={"a": annihilation(40)})
+    assert len(coarse.times) == 21 and len(fine.times) == 201
+    assert np.allclose(coarse.times, fine.times[::10], rtol=0, atol=1e-12)
+    assert np.max(np.abs(coarse.expectations["a"] - fine.expectations["a"][::10])) <= 1e-12
+
+
+def test_evolve_raises_when_series_misses_degree_cap(monkeypatch):
+    """An understated 1-norm bound sets a degree cap that the series cannot
+    meet; the substep raises instead of returning a truncated sum."""
+    model = decay_model(10)
+    monkeypatch.setitem(model.__dict__, "_norm", 1e-6)
+    with pytest.raises(SeriesDivergence, match="not converged"):
+        evolve(model, DensityMatrix.fock_state(10, 9), 1.0, 0.1)
 
 
 def test_evolve_reports_top_level_population():
@@ -273,11 +363,17 @@ def test_evolution_tracks_classical_oscillator():
 
 
 def test_evolve_aborts_on_instability():
-    with pytest.raises(PositivityViolation):
-        evolve(decay_model(10), DensityMatrix.fock_state(10, 9), 5.0, 0.5)
-    # with no sample before it, the blow-up is caught by the per-step finiteness check
-    with pytest.raises(PositivityViolation, match="non-finite"):
-        evolve(decay_model(10), DensityMatrix.fock_state(10, 9), 500.0, 0.5, sample_every=10_000)
+    """The two aborts: an eigenvalue below -pos_abort_tol at a sample, here
+    that of a valid rho0 (DensityMatrix admits -1e-8), and a generator whose
+    entries overflow."""
+    weights = np.zeros(10)
+    weights[0], weights[-1] = 1.0 + 5e-9, -5e-9
+    with pytest.raises(PositivityViolation, match="eigenvalue -5"):
+        evolve(decay_model(10), DensityMatrix(OperatorMatrix(np.diag(weights))), 1.0, 0.1, pos_abort_tol=1e-9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflowing = LindbladModel(OperatorMatrix(np.zeros((10, 10))), (annihilation(10) * 1e160,))
+        with pytest.raises(PositivityViolation, match="non-finite"):
+            evolve(overflowing, DensityMatrix.fock_state(10, 9), 1.0, 0.1)
 
 
 def test_evolve_validates_input():
