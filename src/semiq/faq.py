@@ -15,13 +15,17 @@ phase-space density.
 The FAQ decomposition is always taken as input; no attempt is made to
 discover H and R from a raw vector field.
 
-Every drift polynomial is evaluated by the compiled evaluator of
-observables.  Single-point work (drift, classical_flow, phase_divergence,
-ensemble_weights) runs it on Python-scalar columns, and the two flows carry
-their RK4 state as a tuple of those scalars (see integrate); the FAQ check
-runs it once over the columns of all its sample points.  A phase point is a
-PhasePoint or a sequence of mode_count complex coordinates, such as a row
-of the array that sample_phase_points returns.
+A system builds its polynomials once: the per-mode drift when it is made,
+and the divergence of the drift, itself a real polynomial, on first use.
+Every numeric value is the compiled evaluator of observables applied to
+them.  Single-point work (drift, classical_flow, phase_divergence,
+ensemble_weights) runs it on Python-scalar columns.  The two flows share
+one field body, the tuple of compiled polynomials: the drift for
+classical_flow, the drift and the negated divergence for ensemble_weights.
+They carry their RK4 state as a tuple of those scalars (see integrate).
+The FAQ check runs the evaluator once over the columns of all its sample
+points.  A phase point is a PhasePoint or a sequence of mode_count complex
+coordinates, such as a row of the array that sample_phase_points returns.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._csv import write_csv
+from .errors import FlowDiverged
 from .integrate import rk4_path
-from .observables import PhasePoint, Polynomial, _as_coords, _columns
+from .observables import PhasePoint, Polynomial, _as_coords, _columns, _evaluate
 
 __all__ = [
     "FaqSystem",
@@ -94,14 +99,17 @@ class FaqSystem:
         return self._drift_polys
 
     @cached_property
-    def _channel_partials(self) -> tuple[tuple[Polynomial, Polynomial], ...]:
-        """(dR/dz*_a, dR/dz_a) for every channel R and mode a, channel-major;
-        built on first use, for phase_divergence and ensemble_weights."""
-        return tuple(
-            (channel.partial(mode, "zc"), channel.partial(mode, "z"))
-            for channel in self.channels
-            for mode in range(self.mode_count)
-        )
+    def divergence_polynomial(self) -> Polynomial:
+        """The phase-space divergence of the drift as one real polynomial,
+        sum over channels j and modes a of 2 (P P~ - Q Q~) with
+        P = dR_j/dz*_a and Q = dR_j/dz_a; built on first use."""
+        total = Polynomial.zero(self.mode_count)
+        for channel in self.channels:
+            for mode in range(self.mode_count):
+                p = channel.partial(mode, "zc")
+                q = channel.partial(mode, "z")
+                total = total + 2.0 * (p * p.conjugate() - q * q.conjugate())
+        return total
 
 
 @dataclass(frozen=True)
@@ -196,25 +204,24 @@ def verify_faq(
     return FaqCheck(max_abs_error=float(np.max(np.abs(difference))), tol=float(tol), n_samples=columns.shape[1])
 
 
+def _flow(system: FaqSystem, extra: tuple, y0: tuple, t_end: float, dt: float, record_every: int):
+    """RK4 path of the field whose components are the compiled drift
+    polynomials and then the `extra` compiled polynomials, all evaluated at
+    the first mode_count coordinates of the state."""
+    m = system.mode_count
+    compiled = (*(poly._compiled for poly in system.drift_polynomials), *extra)
+
+    def field(_t, y):
+        columns = _columns(y[:m])
+        return tuple([_evaluate(terms, columns) for terms in compiled])
+
+    return rk4_path(field, y0, t_end, dt, record_every=record_every)
+
+
 def classical_flow(system: FaqSystem, z0, t_end: float, dt: float, record_every: int = 1) -> Trajectory:
     """Fixed-step RK4 trajectory of the FAQ drift from z0."""
-    polys = system.drift_polynomials
-
-    def field(_t, zs):
-        columns = _columns(zs)
-        return tuple([poly._evaluate_coords(columns) for poly in polys])
-
     z0 = tuple(_as_coords(z0, system.mode_count).tolist())
-    times, states = rk4_path(field, z0, t_end, dt, record_every=record_every)
-    return Trajectory(times, states)
-
-
-def _divergence(partials: Sequence[tuple[Polynomial, Polynomial]], columns: list) -> float:
-    """Sum of 2 (|dR/dz*_a|^2 - |dR/dz_a|^2) at one point's scalar columns."""
-    total = 0.0
-    for d_conj, d_plain in partials:
-        total += 2.0 * (abs(d_conj._evaluate_coords(columns)) ** 2 - abs(d_plain._evaluate_coords(columns)) ** 2)
-    return total
+    return Trajectory(*_flow(system, (), z0, t_end, dt, record_every))
 
 
 def phase_divergence(system: FaqSystem, point) -> float:
@@ -222,10 +229,15 @@ def phase_divergence(system: FaqSystem, point) -> float:
 
     Hamiltonian motion is divergence-free; each channel contributes
     2 (|dR/dz*_a|^2 - |dR/dz_a|^2) per mode, which is the closed-form
-    divergence of the dissipative part of the drift.
+    divergence of the dissipative part of the drift.  It is the value of
+    FaqSystem.divergence_polynomial.
     """
-    columns = _columns(_as_coords(point, system.mode_count).tolist())
-    return _divergence(system._channel_partials, columns)
+    return system.divergence_polynomial.evaluate(point).real
+
+
+# A weight must lie strictly between tiny and 1/tiny, tiny the smallest
+# normal float.
+_LOG_WEIGHT_LIMIT = -float(np.log(np.finfo(float).tiny))
 
 
 def ensemble_weights(
@@ -239,26 +251,26 @@ def ensemble_weights(
 
     Along a characteristic the transported density obeys
     d(log f)/dt = -div v, so the returned weight array is
-    exp(-integral of phase_divergence) sampled at the trajectory times.
-    Weights are strictly positive.
+    exp(-integral of phase_divergence) sampled at the trajectory times: the
+    state carries log f beside the coordinates, and the field is the drift
+    polynomials plus the negated divergence polynomial.  Weights are
+    strictly positive and finite: a recorded log weight of magnitude
+    _LOG_WEIGHT_LIMIT or more raises FlowDiverged, before exp is taken.
     """
     m = system.mode_count
-    polys = system.drift_polynomials
-    partials = system._channel_partials
-
-    def field(_t, y):
-        columns = _columns(y[:m])
-        out = [poly._evaluate_coords(columns) for poly in polys]
-        out.append(-_divergence(partials, columns))  # d(log f)/dt
-        return tuple(out)
-
+    log_rate = ((-system.divergence_polynomial)._compiled,)
     results = []
-    for initial in points:
-        y0 = (*_as_coords(initial, m).tolist(), 0.0)
-        times, states = rk4_path(field, y0, t_end, dt, record_every=record_every)
-        trajectory = Trajectory(times, states[:, :m])
-        weights = np.exp(states[:, m].real)
-        results.append((trajectory, weights))
+    for index, initial in enumerate(points):
+        coords = _as_coords(initial, m)
+        times, states = _flow(system, log_rate, (*coords.tolist(), 0.0), t_end, dt, record_every)
+        log_weights = states[:, m].real
+        bad = np.flatnonzero(np.abs(log_weights) >= _LOG_WEIGHT_LIMIT)
+        if len(bad):
+            raise FlowDiverged(
+                f"density weight of point {index} {coords.tolist()} is exp({log_weights[bad[0]]:.6g}), "
+                f"outside the normal float range, at t={times[bad[0]]:.6g}"
+            )
+        results.append((Trajectory(times, states[:, :m]), np.exp(log_weights)))
     return results
 
 

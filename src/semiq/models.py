@@ -13,6 +13,11 @@
 Every model is provided both as a classical FAQ system and as the matching
 Lindblad model, so classical and quantum results can be cross-checked.
 
+The rotators' angular-momentum flow is built like the FAQ flows: its right
+hand side is composed once, on the term maps of SpinPolynomial and with the
+term-map arithmetic of observables, into three polynomials in
+(l_x, l_y, l_z), and each RK4 stage evaluates their compiled form.
+
 The reference fields (oscillator_field, limit_cycle_field, rotator_field)
 take coordinate columns: an array with the modes on axis 0, shape (m,) for
 one point or (m, N) for N points, and return the velocities in the same
@@ -31,7 +36,7 @@ from .errors import SeriesDivergence, TailNotNegligible
 from .faq import FaqSystem
 from .integrate import rk4_path
 from .lindblad import LindbladModel, adjoint_rate, expectation, stationary
-from .observables import PhasePoint, Polynomial, _compile, _evaluate
+from .observables import PhasePoint, Polynomial, _accumulate, _compile, _derivative, _evaluate, _product
 from .quantize import (
     FockSpace,
     OperatorMatrix,
@@ -460,46 +465,26 @@ def rotator_spin_model(params: RotatorParams) -> LindbladModel:
 class SpinPolynomial:
     """Polynomial in the real angular-momentum components (l_x, l_y, l_z).
 
-    The terms and the three partial derivatives are compiled once, for the
-    evaluator of observables with the variables (l_x, l_y, l_z).  A point
-    l given as Python floats (`l.tolist()`) takes the fast scalar path.
+    The terms are keyed by the exponents (i, j, k) of l_x^i l_y^j l_z^k and
+    compiled once, for the evaluator of observables with the variables
+    (l_x, l_y, l_z).  A point l given as Python floats (`l.tolist()`) takes
+    the fast scalar path.
     """
 
-    __slots__ = ("terms", "_compiled", "_partials")
+    __slots__ = ("terms", "_compiled")
 
     def __init__(self, terms: Mapping[tuple[int, int, int], complex]):
-        clean = {}
+        self.terms = {}
         for key, coeff in terms.items():
             key = tuple(int(e) for e in key)
             if len(key) != 3 or any(e < 0 for e in key):
                 raise ValueError(f"bad spin exponent key {key}")
-            coeff = complex(coeff)
-            if coeff != 0:
-                clean[key] = clean.get(key, 0j) + coeff
-        self.terms = {k: c for k, c in clean.items() if c != 0}
+            _accumulate(self.terms, {key: complex(coeff)})
         self._compiled = _compile(self.terms)
-        self._partials = tuple(
-            _compile({
-                key[:axis] + (key[axis] - 1,) + key[axis + 1:]: coeff * key[axis]
-                for key, coeff in self.terms.items()
-                if key[axis]
-            })
-            for axis in range(3)
-        )
 
     def evaluate(self, l: Sequence[float]) -> complex:
         """Value at l = (l_x, l_y, l_z): three scalars, or three columns."""
         return _evaluate(self._compiled, l)
-
-    def gradient(self, l: Sequence[float]) -> np.ndarray:
-        """(d/dl_x, d/dl_y, d/dl_z) at one point l."""
-        return np.array(self._gradient_values(l), dtype=complex)
-
-    def _gradient_values(self, l: Sequence[float]) -> list:
-        return [_evaluate(partial, l) for partial in self._partials]
-
-    def conjugate(self) -> "SpinPolynomial":
-        return SpinPolynomial({key: coeff.conjugate() for key, coeff in self.terms.items()})
 
     def max_imag_coeff(self) -> float:
         return max((abs(c.imag) for c in self.terms.values()), default=0.0)
@@ -528,14 +513,37 @@ class SpinTrajectory:
         return np.sum(self.states**2, axis=1)
 
 
-def _cross(u, v) -> tuple:
-    """u x v for two 3-vectors, as a tuple of three scalars; on Python
-    scalars this costs a small fraction of np.cross."""
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
+# l_x, l_y and l_z as term maps.
+_AXES = tuple({key: 1.0} for key in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def _spin_drift(hamiltonian: SpinPolynomial, channel: SpinPolynomial) -> tuple[dict, dict, dict]:
+    """dl/dt as three term maps in (l_x, l_y, l_z) with real coefficients.
+
+    The flow is dl/dt = l x F with the force F_c = -dH/dl_c
+    + i (R dR~/dl_c - R~ dR/dl_c), R~ the conjugate of R.  On real l the
+    term map of R~ dR/dl_c is the conjugate of that of R dR~/dl_c, so the
+    channel part is -2 Im of the latter, coefficient by coefficient.  H
+    enters by the real parts of its coefficients.
+    """
+    minus_h = {key: -coeff.real for key, coeff in hamiltonian.terms.items()}
+    r = channel.terms
+    r_bar = {key: coeff.conjugate() for key, coeff in r.items()}
+    force = [
+        _accumulate(
+            _derivative(minus_h, axis),
+            {key: -2.0 * coeff.imag for key, coeff in _product(r, _derivative(r_bar, axis)).items()},
+        )
+        for axis in range(3)
+    ]
+    velocity = (
+        _accumulate(
+            _product(_AXES[b], force[c]),
+            {key: -coeff for key, coeff in _product(_AXES[c], force[b]).items()},
+        )
+        for b, c in ((1, 2), (2, 0), (0, 1))
     )
+    return tuple({key: coeff.real for key, coeff in terms.items()} for terms in velocity)
 
 
 def classical_spin_flow(
@@ -550,21 +558,17 @@ def classical_spin_flow(
 
         dl/dt = -(l x grad H) + i R (l x grad R~) + c.c.
 
-    with analytic gradients of the polynomial H and R.  The right hand side
-    is tangent to the sphere, so |l|^2 is a constant of motion.
+    The right hand side is composed once into three polynomials in
+    (l_x, l_y, l_z) with real coefficients, and each stage evaluates their
+    compiled form.  It is tangent to the sphere, so |l|^2 is a constant of
+    motion.
     """
     if hamiltonian.max_imag_coeff() > 1e-12:
         raise ValueError("spin hamiltonian must have real coefficients")
+    compiled = tuple(_compile(terms) for terms in _spin_drift(hamiltonian, channel))
 
     def field(_t, l):
-        grad_h = [value.real for value in hamiltonian._gradient_values(l)]
-        r_value = channel.evaluate(l)
-        grad_r = [value.conjugate() for value in channel._gradient_values(l)]
-        # numpy's complex array product may fuse a multiply and an add, so
-        # it rounds unlike Python's; keeping this product on an array keeps
-        # the trajectory bit for bit what it has been.
-        dissipative = (r_value * np.array(_cross(l, grad_r))).imag.tolist()
-        return tuple([-a - 2.0 * b for a, b in zip(_cross(l, grad_h), dissipative)])
+        return tuple([_evaluate(terms, l).real for terms in compiled])
 
     l0 = np.asarray(l0, dtype=float)
     if l0.shape != (3,):

@@ -11,7 +11,10 @@ The key for an m-mode polynomial is a tuple of 2m non-negative integers
 (k_1, l_1, ..., k_m, l_m) where k_a is the power of z_a and l_a the power of
 z*_a.  Coefficients that are exactly zero are dropped, so equality of term
 maps is structural equality of polynomials.  A polynomial is not changed
-after it is built.
+after it is built.  Sum, product and derivative run in module-level
+helpers on term maps of any key width (`_accumulate`, `_product`,
+`_derivative`), so the spin polynomials of models, keyed by (l_x, l_y,
+l_z) exponents, compose with the same loops.
 
 Numeric evaluation runs on a compiled form made once per polynomial: a
 tuple of (coefficient, ((variable, exponent), ...)) pairs, one per term,
@@ -108,6 +111,45 @@ def _evaluate(compiled: tuple, columns) -> complex | np.ndarray:
     return total
 
 
+def _accumulate(terms: dict, other: Mapping[tuple, complex]) -> dict:
+    """Add other's terms into the term map `terms`, in other's order,
+    dropping a term that cancels; returns `terms`."""
+    for key, coeff in other.items():
+        total = terms.get(key, 0j) + coeff
+        if total == 0:
+            terms.pop(key, None)
+        else:
+            terms[key] = total
+    return terms
+
+
+def _product(a: Mapping[tuple, complex], b: Mapping[tuple, complex]) -> dict:
+    """Term map of a * b for term maps of one key width: the exponents of
+    each pair of terms add, pairs taken in a's order, then b's."""
+    terms: dict[tuple[int, ...], complex] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(ea + eb for ea, eb in zip(ka, kb))
+            total = terms.get(key, 0j) + ca * cb
+            if total == 0:
+                terms.pop(key, None)
+            else:
+                terms[key] = total
+    return terms
+
+
+def _derivative(terms: Mapping[tuple, complex], pos: int) -> dict:
+    """Term map of the derivative with respect to the variable at key
+    position pos."""
+    out = {}
+    for key, coeff in terms.items():
+        e = key[pos]
+        if e:
+            new_key = key[:pos] + (e - 1,) + key[pos + 1:]
+            out[new_key] = out.get(new_key, 0j) + e * coeff
+    return {k: c for k, c in out.items() if c != 0}
+
+
 class Polynomial:
     """Sparse complex polynomial in (z_a, z*_a), a = 1..mode_count."""
 
@@ -130,12 +172,7 @@ class Polynomial:
                 if not (isfinite(coeff.real) and isfinite(coeff.imag)):
                     raise ValueError("non-finite coefficient")
                 if coeff != 0:
-                    prev = clean.get(key, 0j)
-                    total = prev + coeff
-                    if total == 0:
-                        clean.pop(key, None)
-                    else:
-                        clean[key] = total
+                    _accumulate(clean, {key: coeff})
         self.terms = clean
         self._compiled = _compile(clean)
 
@@ -218,14 +255,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            total = terms.get(key, 0j) + coeff
-            if total == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-        return Polynomial._of(self.mode_count, terms)
+        return Polynomial._of(self.mode_count, _accumulate(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -251,16 +281,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        terms: dict[tuple[int, ...], complex] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = tuple(ea + eb for ea, eb in zip(ka, kb))
-                total = terms.get(key, 0j) + ca * cb
-                if total == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = total
-        return Polynomial._of(self.mode_count, terms)
+        return Polynomial._of(self.mode_count, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -296,15 +317,7 @@ class Polynomial:
             wrt = "zc"
         if wrt not in ("z", "zc"):
             raise ValueError(f"wrt must be 'z' or 'zc', got {wrt!r}")
-        pos = 2 * mode + (1 if wrt == "zc" else 0)
-        terms = {}
-        for key, coeff in self.terms.items():
-            e = key[pos]
-            if e == 0:
-                continue
-            new_key = key[:pos] + (e - 1,) + key[pos + 1:]
-            terms[new_key] = terms.get(new_key, 0j) + e * coeff
-        return Polynomial._of(self.mode_count, {k: c for k, c in terms.items() if c != 0})
+        return Polynomial._of(self.mode_count, _derivative(self.terms, 2 * mode + (wrt == "zc")))
 
     def contraction(self) -> "Polynomial":
         """Delta p = sum_a d^2 p / dz_a dz*_a, taken on the term map: each

@@ -67,6 +67,18 @@ def verify_faq_by_point(system, field, samples):
     return worst
 
 
+def divergence_by_partials(system, coords):
+    """Oracle for phase_divergence: the sum over channels R and modes a of
+    2 (|dR/dz*_a|^2 - |dR/dz_a|^2), each partial evaluated at the point."""
+    total = 0.0
+    for channel in system.channels:
+        for mode in range(system.mode_count):
+            d_conj = channel.partial(mode, "zc").evaluate(coords)
+            d_plain = channel.partial(mode, "z").evaluate(coords)
+            total += 2.0 * (abs(d_conj) ** 2 - abs(d_plain) ** 2)
+    return total
+
+
 def random_spin_polynomial(rng, max_degree, n_terms=5):
     terms = {}
     for _ in range(n_terms):
@@ -82,21 +94,6 @@ def spin_evaluate_by_terms(poly, l):
     for (i, j, k), coeff in poly.terms.items():
         total += coeff * lx**i * ly**j * lz**k
     return total
-
-
-def spin_gradient_by_terms(poly, l):
-    """Oracle for SpinPolynomial.gradient: the term-map loop with the
-    partial derivatives taken term by term."""
-    lx, ly, lz = l
-    grad = np.zeros(3, dtype=complex)
-    for (i, j, k), coeff in poly.terms.items():
-        if i:
-            grad[0] += coeff * i * lx ** (i - 1) * ly**j * lz**k
-        if j:
-            grad[1] += coeff * j * lx**i * ly ** (j - 1) * lz**k
-        if k:
-            grad[2] += coeff * k * lx**i * ly**j * lz ** (k - 1)
-    return grad
 
 
 def weyl_word_average(poly, space):

@@ -537,6 +537,24 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "n_max" in capsys.readouterr().err
 
 
+def test_overflowing_weight_exit_code(tmp_path, capsys):
+    """A limit-cycle ensemble weight that grows past the float range is a
+    numerical failure naming the point and the time, and no file of the
+    run holds an infinite weight."""
+    config = flow_config(initial=[[[1.5, 0.0]]])
+    config["numerics"].update({"dt": 0.05, "t_end": 800.0, "record_every": 1000})
+    path = write_config(tmp_path, config)
+    out_root = tmp_path / "runs"
+    assert validate_config(config) == []
+    assert main(["run", str(path), "--output-dir", str(out_root)]) == 2
+    err = capsys.readouterr().err
+    assert "density weight of point 0" in err and "t=" in err
+    for written in out_root.rglob("*"):
+        if written.is_file():
+            text = written.read_text()
+            assert "Infinity" not in text and "inf" not in text
+
+
 def test_bad_param_value_exit_code(tmp_path):
     config = limit_cycle_config()
     config["params"]["mu"] = -1.0

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from helpers import evaluate_by_terms, verify_faq_by_point
+from helpers import divergence_by_partials, evaluate_by_terms, verify_faq_by_point
 from semiq import (
     FaqSystem,
     FlowDiverged,
@@ -222,7 +222,6 @@ def test_flow_rejects_bad_steps():
         classical_flow(system, [1.0], 1.0, 0.1, record_every=0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_flow_divergence_aborts():
     # pure gain channel: |z| grows as e^t and eventually overflows
     gain = FaqSystem(1, Polynomial.zero(1), (Polynomial.zc(0, 1),))
@@ -241,6 +240,24 @@ def test_divergence_oscillator_constant():
     system = oscillator_faq(OscillatorParams(1.0, 0.3, 0.9))
     for point in sample_phase_points(1, 10, seed=3):
         assert phase_divergence(system, point) == pytest.approx(-0.6, abs=1e-12)
+
+
+def test_divergence_matches_partials_oracle():
+    """The divergence polynomial against the per-channel partials, each
+    |dR/dz*_a|^2 - |dR/dz_a|^2 evaluated at the point."""
+    for system, modes in all_systems():
+        for coords in sample_phase_points(modes, 50, seed=53):
+            expected = divergence_by_partials(system, coords)
+            assert abs(phase_divergence(system, coords) - expected) <= 1e-14 * max(1.0, abs(expected))
+
+
+def test_divergence_polynomial_oscillator_is_constant():
+    """2 lam (sinh^2 u - cosh^2 u) = -2 lam: no term but the constant."""
+    lam = 0.3
+    divergence = oscillator_faq(OscillatorParams(1.0, lam, 0.3)).divergence_polynomial
+    [(key, coeff)] = divergence.terms.items()
+    assert key == (0, 0)
+    assert abs(coeff - (-2.0 * lam)) <= 1e-15
 
 
 def test_divergence_matches_finite_difference():
@@ -294,6 +311,18 @@ def test_weights_oscillator_grow_exponentially():
     [(trajectory, weights)] = ensemble_weights(system, [PhasePoint([1.0])], 5.0, 1e-3, record_every=100)
     expected = np.exp(2 * lam * trajectory.times)
     assert np.max(np.abs(weights / expected - 1.0)) <= 1e-6
+
+
+def test_weights_beyond_float_range_raise():
+    """Growing weights (limit cycle, contracting near the cycle) and
+    shrinking ones (pure gain, div = 2) both end in FlowDiverged naming the
+    point and the time, before exp could overflow or underflow."""
+    limit_cycle = limit_cycle_faq(LimitCycleParams(1.0, 0.5, 0.5))
+    with pytest.raises(FlowDiverged, match=r"point 0 \[\(1\.5\+0j\)\] is exp\(753\.\d+\), outside .* at t=750$"):
+        ensemble_weights(limit_cycle, [[1.5]], 800.0, 0.05, record_every=1000)
+    gain = FaqSystem(1, Polynomial.zero(1), (Polynomial.zc(0, 1),))
+    with pytest.raises(FlowDiverged, match=r"point 0 .* is exp\(-720\).* at t=360$"):
+        ensemble_weights(gain, [[1.0]], 400.0, 0.1, record_every=100)
 
 
 def test_channel_partials_built_once(monkeypatch):

@@ -3,7 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from helpers import newton_closure, random_spin_polynomial, spin_evaluate_by_terms, spin_gradient_by_terms
+from helpers import newton_closure, random_spin_polynomial, spin_evaluate_by_terms
 from semiq import (
     DensityMatrix,
     FockSpace,
@@ -18,7 +18,7 @@ from semiq import (
 from semiq.models import (
     EXACT_SPIN_L_MAX,
     MomentState,
-    _cross,
+    _spin_drift,
     RotatorParams,
     SpinPolynomial,
     classical_spin_flow,
@@ -36,6 +36,7 @@ from semiq.models import (
     rotator_spin_operators,
     spin_components,
 )
+from semiq.observables import _compile, _evaluate
 
 PARAMS = RotatorParams(omega1=1.1, omega2=0.9, lam=0.2, l=5)
 SYNC = RotatorParams(omega1=1.0, omega2=1.0, lam=0.2, l=5)
@@ -133,52 +134,39 @@ def test_classical_spin_flow_larmor_precession():
 
 
 def test_spin_flow_field_closed_form():
-    """For the synchronized pair the flow reduces to
-    (4 lam ly^2, -4 lam lx ly, 0); check against the generic evaluation."""
+    """For the synchronized pair the composed flow reduces to
+    (4 lam ly^2, -4 lam lx ly, 0): term by term up to the rounding of
+    sqrt(lam)^2 against lam, and at seeded points."""
     lam = SYNC.lam
-    h = rotator_spin_hamiltonian(SYNC)
-    r = rotator_spin_channel(SYNC)
+    velocity = _spin_drift(rotator_spin_hamiltonian(SYNC), rotator_spin_channel(SYNC))
+    for terms, expected in zip(velocity, ({(0, 2, 0): 4 * lam}, {(1, 1, 0): -4 * lam}, {})):
+        for key in terms.keys() | expected.keys():
+            assert abs(terms.get(key, 0.0) - expected.get(key, 0.0)) <= 1e-15
     rng = np.random.default_rng(65)
     for _ in range(20):
-        l = rng.uniform(-1, 1, size=3)
-        grad_h = h.gradient(l).real
-        r_val = r.evaluate(l)
-        grad_r = r.gradient(l)
-        velocity = -np.cross(l, grad_h) - 2.0 * (r_val * np.cross(l, grad_r.conjugate())).imag
-        expected = np.array([4 * lam * l[1] ** 2, -4 * lam * l[0] * l[1], 0.0])
-        assert np.max(np.abs(velocity - expected)) <= 1e-12
+        l = rng.uniform(-1, 1, size=3).tolist()
+        values = [_evaluate(_compile(terms), l) for terms in velocity]
+        expected = [4 * lam * l[1] ** 2, -4 * lam * l[0] * l[1], 0.0]
+        assert np.max(np.abs(np.subtract(values, expected))) <= 1e-15
 
 
 def test_spin_polynomial_matches_term_loop():
-    """The compiled spin polynomial and its compiled partials against the
-    term-map loops, at points given as numpy arrays and as Python floats, to
-    1e-15 relative to the sum of the absolute term values; evaluate also on
-    (3, 20) coordinate columns."""
+    """The compiled spin polynomial against the term-map loop, at points
+    given as numpy arrays and as Python floats, to 1e-15 relative to the sum
+    of the absolute term values, and on (3, 20) coordinate columns."""
     rng = np.random.default_rng(67)
     for _ in range(40):
         poly = random_spin_polynomial(rng, 4)
         magnitude = SpinPolynomial({key: abs(coeff) for key, coeff in poly.terms.items()})
         l = rng.uniform(-1.5, 1.5, size=3)
-        scale = max(spin_evaluate_by_terms(magnitude, np.abs(l)).real,
-                    np.max(spin_gradient_by_terms(magnitude, np.abs(l)).real))
-        expected = spin_gradient_by_terms(poly, l)
+        scale = spin_evaluate_by_terms(magnitude, np.abs(l)).real
         for point in (l, l.tolist()):
-            assert np.max(np.abs(poly.gradient(point) - expected)) <= 1e-15 * scale
             assert abs(poly.evaluate(point) - spin_evaluate_by_terms(poly, l)) <= 1e-15 * scale
         columns = rng.uniform(-1.5, 1.5, size=(3, 20))
         values = poly.evaluate(columns)
         for j in range(20):
             column_scale = spin_evaluate_by_terms(magnitude, np.abs(columns[:, j])).real
             assert abs(values[j] - spin_evaluate_by_terms(poly, columns[:, j])) <= 1e-15 * column_scale
-
-
-def test_cross_product_matches_numpy():
-    rng = np.random.default_rng(66)
-    for _ in range(20):
-        u = rng.uniform(-1, 1, size=3)
-        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert np.max(np.abs(_cross(u, v) - np.cross(u, v))) <= 1e-15
-        assert np.max(np.abs(_cross(u, v.real) - np.cross(u, v.real))) <= 1e-15
 
 
 def test_spin_flow_synchronizes():
