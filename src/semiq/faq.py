@@ -17,15 +17,15 @@ discover H and R from a raw vector field.
 
 A system builds its polynomials once: the per-mode drift when it is made,
 and the divergence of the drift, itself a real polynomial, on first use.
-Every numeric value is the compiled evaluator of observables applied to
-them.  Single-point work (drift, classical_flow, phase_divergence,
-ensemble_weights) runs it on Python-scalar columns.  The two flows share
-one field body, the tuple of compiled polynomials: the drift for
-classical_flow, the drift and the negated divergence for ensemble_weights.
-They carry their RK4 state as a tuple of those scalars (see integrate).
-The FAQ check runs the evaluator once over the columns of all its sample
-points.  A phase point is a PhasePoint or a sequence of mode_count complex
-coordinates, such as a row of the array that sample_phase_points returns.
+Every numeric value comes from the generated code of observables.  drift
+and phase_divergence evaluate on Python-scalar columns, and the FAQ check
+evaluates once over the columns of all its sample points.  The two flows
+share one field body, one generated function of several polynomials that
+reads the coordinates from the RK4 state, a tuple of Python scalars (see
+integrate): the drift for classical_flow, the drift and the negated
+divergence for ensemble_weights.  A phase point is a PhasePoint or a
+sequence of mode_count complex coordinates, such as a row of the array that
+sample_phase_points returns.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from ._csv import write_csv
 from .errors import FlowDiverged
 from .integrate import rk4_path
-from .observables import PhasePoint, Polynomial, _as_coords, _columns, _evaluate
+from .observables import PhasePoint, Polynomial, _as_coords, _columns, _compile, _coordinate_reads
 
 __all__ = [
     "FaqSystem",
@@ -205,17 +205,13 @@ def verify_faq(
 
 
 def _flow(system: FaqSystem, extra: tuple, y0: tuple, t_end: float, dt: float, record_every: int):
-    """RK4 path of the field whose components are the compiled drift
-    polynomials and then the `extra` compiled polynomials, all evaluated at
-    the first mode_count coordinates of the state."""
-    m = system.mode_count
-    compiled = (*(poly._compiled for poly in system.drift_polynomials), *extra)
-
-    def field(_t, y):
-        columns = _columns(y[:m])
-        return tuple([_evaluate(terms, columns) for terms in compiled])
-
-    return rk4_path(field, y0, t_end, dt, record_every=record_every)
+    """RK4 path of the field whose components are the drift polynomials and
+    then the `extra` polynomials, compiled once into one generated function
+    that reads z_a and z*_a from the first mode_count entries of the tuple
+    state."""
+    polys = (*system.drift_polynomials, *extra)
+    values = _compile(tuple(poly.terms for poly in polys), _coordinate_reads(system.mode_count))
+    return rk4_path(lambda _t, y: values(y), y0, t_end, dt, record_every=record_every)
 
 
 def classical_flow(system: FaqSystem, z0, t_end: float, dt: float, record_every: int = 1) -> Trajectory:
@@ -258,7 +254,7 @@ def ensemble_weights(
     _LOG_WEIGHT_LIMIT or more raises FlowDiverged, before exp is taken.
     """
     m = system.mode_count
-    log_rate = ((-system.divergence_polynomial)._compiled,)
+    log_rate = (-system.divergence_polynomial,)
     results = []
     for index, initial in enumerate(points):
         coords = _as_coords(initial, m)

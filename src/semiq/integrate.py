@@ -78,7 +78,9 @@ def rk4_path(field, y0, t_end: float, dt: float, record_every: int = 1):
     field returns y's form.  The time grid follows _step_count.  Returns
     (times, states) with states stacked along axis 0 as an array, recorded
     every `record_every` steps plus the final state.  Raises FlowDiverged
-    as soon as a non-finite state appears.
+    as soon as a non-finite state appears, or as soon as the field raises
+    OverflowError: Python's `**` raises it on a float or complex result
+    past the float range, where numpy and the other operators give inf.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
@@ -88,7 +90,10 @@ def rk4_path(field, y0, t_end: float, dt: float, record_every: int = 1):
     times = [0.0]
     states = [y]  # every step makes a new state, so none is copied
     for step in range(1, n_steps + 1):
-        y = rk4_step(field, (step - 1) * dt, y, dt)
+        try:
+            y = rk4_step(field, (step - 1) * dt, y, dt)
+        except OverflowError as exc:
+            raise FlowDiverged(f"state overflows at t={step * dt:.6g} (step {step}): {exc}") from exc
         if not (all(map(cmath.isfinite, y)) if scalar else np.all(np.isfinite(y))):
             raise FlowDiverged(f"non-finite state at t={step * dt:.6g} (step {step})")
         if step % record_every == 0 or step == n_steps:

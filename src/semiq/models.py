@@ -16,7 +16,8 @@ Lindblad model, so classical and quantum results can be cross-checked.
 The rotators' angular-momentum flow is built like the FAQ flows: its right
 hand side is composed once, on the term maps of SpinPolynomial and with the
 term-map arithmetic of observables, into three polynomials in
-(l_x, l_y, l_z), and each RK4 stage evaluates their compiled form.
+(l_x, l_y, l_z), and each RK4 stage calls one function generated from
+them.
 
 The reference fields (oscillator_field, limit_cycle_field, rotator_field)
 take coordinate columns: an array with the modes on axis 0, shape (m,) for
@@ -36,7 +37,7 @@ from .errors import SeriesDivergence, TailNotNegligible
 from .faq import FaqSystem
 from .integrate import rk4_path
 from .lindblad import LindbladModel, adjoint_rate, expectation, stationary
-from .observables import PhasePoint, Polynomial, _accumulate, _compile, _derivative, _evaluate, _product
+from .observables import PhasePoint, Polynomial, _accumulate, _column_reads, _compile, _derivative, _product
 from .quantize import (
     FockSpace,
     OperatorMatrix,
@@ -465,13 +466,13 @@ def rotator_spin_model(params: RotatorParams) -> LindbladModel:
 class SpinPolynomial:
     """Polynomial in the real angular-momentum components (l_x, l_y, l_z).
 
-    The terms are keyed by the exponents (i, j, k) of l_x^i l_y^j l_z^k and
-    compiled once, for the evaluator of observables with the variables
-    (l_x, l_y, l_z).  A point l given as Python floats (`l.tolist()`) takes
-    the fast scalar path.
+    The terms are keyed by the exponents (i, j, k) of l_x^i l_y^j l_z^k.  The
+    first evaluation compiles them, with the generated code of observables
+    over the variables (l_x, l_y, l_z).  A point l given as Python floats
+    (`l.tolist()`) takes the fast scalar path.
     """
 
-    __slots__ = ("terms", "_compiled")
+    __slots__ = ("terms", "_function")
 
     def __init__(self, terms: Mapping[tuple[int, int, int], complex]):
         self.terms = {}
@@ -480,11 +481,17 @@ class SpinPolynomial:
             if len(key) != 3 or any(e < 0 for e in key):
                 raise ValueError(f"bad spin exponent key {key}")
             _accumulate(self.terms, {key: complex(coeff)})
-        self._compiled = _compile(self.terms)
+        self._function = None
 
     def evaluate(self, l: Sequence[float]) -> complex:
         """Value at l = (l_x, l_y, l_z): three scalars, or three columns."""
-        return _evaluate(self._compiled, l)
+        if self._function is None:
+            self._function = _compile((self.terms,), _column_reads(3))
+        return self._function(l)[0]
+
+    def __reduce__(self):
+        # A generated function does not pickle; the copy compiles anew.
+        return SpinPolynomial, (self.terms,)
 
     def max_imag_coeff(self) -> float:
         return max((abs(c.imag) for c in self.terms.values()), default=0.0)
@@ -559,21 +566,18 @@ def classical_spin_flow(
         dl/dt = -(l x grad H) + i R (l x grad R~) + c.c.
 
     The right hand side is composed once into three polynomials in
-    (l_x, l_y, l_z) with real coefficients, and each stage evaluates their
-    compiled form.  It is tangent to the sphere, so |l|^2 is a constant of
-    motion.
+    (l_x, l_y, l_z) with real coefficients, and compiled once into one
+    generated function that reads the tuple state and returns the real
+    parts of the three values.  It is tangent to the sphere, so |l|^2 is a
+    constant of motion.
     """
     if hamiltonian.max_imag_coeff() > 1e-12:
         raise ValueError("spin hamiltonian must have real coefficients")
-    compiled = tuple(_compile(terms) for terms in _spin_drift(hamiltonian, channel))
-
-    def field(_t, l):
-        return tuple([_evaluate(terms, l).real for terms in compiled])
-
+    velocity = _compile(_spin_drift(hamiltonian, channel), _column_reads(3), real=True)
     l0 = np.asarray(l0, dtype=float)
     if l0.shape != (3,):
         raise ValueError("l0 must be a real 3-vector")
-    times, states = rk4_path(field, tuple(l0.tolist()), t_end, dt, record_every=record_every)
+    times, states = rk4_path(lambda _t, l: velocity(l), tuple(l0.tolist()), t_end, dt, record_every=record_every)
     return SpinTrajectory(times, states)
 
 

@@ -16,19 +16,26 @@ helpers on term maps of any key width (`_accumulate`, `_product`,
 `_derivative`), so the spin polynomials of models, keyed by (l_x, l_y,
 l_z) exponents, compose with the same loops.
 
-Numeric evaluation runs on a compiled form made once per polynomial: a
-tuple of (coefficient, ((variable, exponent), ...)) pairs, one per term,
-with only the non-zero exponents and the variables numbered in key order
-z_1, z*_1, z_2, z*_2, ....  One term loop evaluates it over a list of
-variable columns (`_columns`).  A column is a Python scalar for one point,
-the fast form for single-point work such as an RK4 field, or a numpy array
-for N points at once; the same loop serves both.
+Numeric evaluation runs generated code.  `_compile` writes one Python
+function f(y) for a tuple of term maps; it returns one value per map, each
+the sum 0j + K[i] * v3 ** 2 * v4 ** 1 + ... over the terms in map order,
+the factors of a term in variable order, with the variables numbered in
+key order z_1, z*_1, z_2, z*_2, ....  The source names only variable
+indices and exponents; the coefficients are bound by value as the tuple K,
+so polynomials of one shape share one code object.  A prologue reads each
+variable in use from y: a column of `_columns` for polynomial evaluation,
+or a coordinate of a flow's tuple state and its conjugate.  A column is a
+Python scalar for one point or a numpy array for N points; the same code
+serves both.  Polynomial compiles on its first evaluation, so the
+intermediate polynomials of quantization and composition never do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isfinite
+from types import FunctionType
 from typing import Mapping
 
 import numpy as np
@@ -84,31 +91,61 @@ def _columns(coords) -> list:
     return columns
 
 
-def _compile(terms: Mapping[tuple[int, ...], complex]) -> tuple:
-    """The evaluator form of a term map: one (coefficient, ((variable,
-    exponent), ...)) pair per term, non-zero exponents only, variables
-    numbered by their position in the key."""
-    return tuple(
-        (coeff, tuple((var, exponent) for var, exponent in enumerate(key) if exponent))
-        for key, coeff in terms.items()
-    )
+# Terms per statement of a generated sum; the compiler recurses once per
+# operator of a chained sum and gives up near 3000.
+_TERMS_PER_LINE = 256
 
 
-def _evaluate(compiled: tuple, columns) -> complex | np.ndarray:
-    """Sum of the compiled terms at variable columns.
+def _column_reads(width: int) -> tuple[str, ...]:
+    """Variable v read as y[v]: columns of `_columns`, or the components of
+    a state whose variables are the state itself, such as (l_x, l_y, l_z)."""
+    return tuple(f"y[{v}]" for v in range(width))
 
-    `columns[v]` is the value of variable v: a scalar for one point, or an
-    array for N points, which gives an array of values (a scalar when no
-    term has a variable).  Factors multiply in variable order, then the
-    terms add in order.
+
+def _coordinate_reads(mode_count: int) -> tuple[str, ...]:
+    """z_a and z*_a read from a state that holds the coordinate z_a at y[a]."""
+    return tuple(read for a in range(mode_count) for read in (f"y[{a}]", f"y[{a}].conjugate()"))
+
+
+@lru_cache(maxsize=256)
+def _code(source: str):
+    """The code object of a generated source, compiled once per source
+    text, so polynomials of one shape share it; the cache is bounded
+    because a process may evaluate ever new shapes."""
+    namespace: dict = {}
+    exec(compile(source, "<polynomial>", "exec"), namespace)
+    return namespace["f"].__code__
+
+
+def _compile(term_maps, reads: tuple[str, ...], real: bool = False):
+    """One generated function f(y) returning the tuple of the values of the
+    term maps, or of their real parts; reads[v] is the source text that
+    reads variable v (the key position v) from y.
+
+    Each value is 0j plus the terms in map order, each term its coefficient
+    times the factors v ** exponent in variable order: the sequence of
+    operations is fixed by the term maps alone, on scalars and on arrays.
+    An exponent of 1 is written out: complex ** 1 multiplies by 1 + 0j,
+    which is not v itself on signed zeros and infinities.
     """
-    total = 0j
-    for coeff, factors in compiled:
-        value = coeff
-        for var, exponent in factors:
-            value *= columns[var] ** exponent
-        total += value
-    return total
+    coefficients = []
+    used = set()
+    lines = []
+    for index, terms in enumerate(term_maps):
+        pieces = []
+        for key, coeff in terms.items():
+            factors = [(var, exponent) for var, exponent in enumerate(key) if exponent]
+            used.update(var for var, _ in factors)
+            pieces.append(f"K[{len(coefficients)}]" + "".join(f" * v{var} ** {e}" for var, e in factors))
+            coefficients.append(coeff)
+        for start in range(0, max(len(pieces), 1), _TERMS_PER_LINE):
+            head = f"s{index}" if start else "0j"
+            lines.append(f"    s{index} = " + " + ".join([head, *pieces[start:start + _TERMS_PER_LINE]]))
+    prologue = [f"    v{var} = {reads[var]}" for var in sorted(used)]
+    part = ".real" if real else ""
+    values = "".join(f"s{index}{part}," for index in range(len(term_maps)))
+    source = "\n".join(["def f(y):", *prologue, *lines, f"    return ({values})\n"])
+    return FunctionType(_code(source), {"K": tuple(coefficients)})
 
 
 def _accumulate(terms: dict, other: Mapping[tuple, complex]) -> dict:
@@ -153,7 +190,7 @@ def _derivative(terms: Mapping[tuple, complex], pos: int) -> dict:
 class Polynomial:
     """Sparse complex polynomial in (z_a, z*_a), a = 1..mode_count."""
 
-    __slots__ = ("mode_count", "terms", "_compiled")
+    __slots__ = ("mode_count", "terms", "_function")
 
     def __init__(self, mode_count: int, terms: Mapping[tuple, complex] | None = None):
         if mode_count < 1:
@@ -174,7 +211,7 @@ class Polynomial:
                 if coeff != 0:
                     _accumulate(clean, {key: coeff})
         self.terms = clean
-        self._compiled = _compile(clean)
+        self._function = None
 
     @classmethod
     def _of(cls, mode_count: int, terms: dict[tuple[int, ...], complex]) -> "Polynomial":
@@ -183,7 +220,7 @@ class Polynomial:
         out = cls.__new__(cls)
         out.mode_count = mode_count
         out.terms = terms
-        out._compiled = _compile(terms)
+        out._function = None
         return out
 
     # -- constructors -------------------------------------------------------
@@ -236,6 +273,10 @@ class Polynomial:
 
     def __hash__(self):
         return hash((self.mode_count, frozenset(self.terms.items())))
+
+    def __reduce__(self):
+        # A generated function does not pickle; the copy compiles anew.
+        return Polynomial._of, (self.mode_count, self.terms)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.mode_count}, {format_polynomial(self)!r})"
@@ -338,8 +379,10 @@ class Polynomial:
 
     def _evaluate_coords(self, columns) -> complex | np.ndarray:
         """Value at the variable columns of `_columns`: a complex number
-        for one point, an array for N points."""
-        return _evaluate(self._compiled, columns)
+        for one point, an array for N points.  The first call compiles."""
+        if self._function is None:
+            self._function = _compile((self.terms,), _column_reads(2 * self.mode_count))
+        return self._function(columns)[0]
 
 
 def poisson_bracket(a: Polynomial, b: Polynomial) -> Polynomial:

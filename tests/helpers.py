@@ -57,6 +57,29 @@ def evaluate_by_terms(poly, coords):
     return total
 
 
+def compile_terms(terms):
+    """Oracle form for the generated evaluator: one (coefficient,
+    ((variable, exponent), ...)) pair per term, non-zero exponents only,
+    variables numbered by their position in the key."""
+    return tuple(
+        (coeff, tuple((var, exponent) for var, exponent in enumerate(key) if exponent))
+        for key, coeff in terms.items()
+    )
+
+
+def evaluate_compiled(compiled, columns):
+    """Oracle for the generated evaluator: the term loop over the pairs of
+    compile_terms, columns[v] the value of variable v.  Factors multiply in
+    variable order, then the terms add in order, from 0j."""
+    total = 0j
+    for coeff, factors in compiled:
+        value = coeff
+        for var, exponent in factors:
+            value *= columns[var] ** exponent
+        total += value
+    return total
+
+
 def verify_faq_by_point(system, field, samples):
     """Oracle for verify_faq's max_abs_error: one sample point at a time,
     the drift from evaluate_by_terms and the field called on one point."""

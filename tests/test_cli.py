@@ -555,6 +555,18 @@ def test_overflowing_weight_exit_code(tmp_path, capsys):
             assert "Infinity" not in text and "inf" not in text
 
 
+def test_overflowing_field_exit_code(tmp_path, capsys):
+    """A shipped flow started where the drift overflows inside ** is a
+    numerical failure naming the time and the step, not a traceback."""
+    config = json.loads((CONFIG_DIR / "classical_flow.json").read_text())
+    config["numerics"].update({"t_end": 1, "initial": [[[1e155, 0]]]})
+    path = write_config(tmp_path, config)
+    assert validate_config(config) == []
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert "state overflows at t=0.001 (step 1)" in err and "Traceback" not in err
+
+
 def test_bad_param_value_exit_code(tmp_path):
     config = limit_cycle_config()
     config["params"]["mu"] = -1.0

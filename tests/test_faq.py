@@ -229,6 +229,17 @@ def test_flow_divergence_aborts():
         classical_flow(gain, [1.0], 800.0, 0.1)
 
 
+def test_flow_overflow_in_field_aborts():
+    """R = z*^2 drives |z| to infinity in finite time, and Python's ** raises
+    OverflowError before any state is non-finite; both flows name it as
+    FlowDiverged with the time and the step."""
+    blow_up = FaqSystem(1, Polynomial.zero(1), (Polynomial.zc(0, 1) ** 2,))
+    with pytest.raises(FlowDiverged, match=r"^state overflows at t=0\.27 \(step 27\): complex exponentiation$"):
+        classical_flow(blow_up, [1.0], 10.0, 0.01)
+    with pytest.raises(FlowDiverged, match=r"^state overflows at t=0\.27 \(step 27\)"):
+        ensemble_weights(blow_up, [[1.0]], 10.0, 0.01)
+
+
 # -- phase-space divergence --------------------------------------------------------
 
 

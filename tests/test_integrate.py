@@ -93,6 +93,12 @@ def test_tuple_state_that_blows_up_raises():
         rk4_path(lambda _t, y: tuple([v * v for v in y]), (1.0, 1.0 + 0j), 5.0, 1e-2)
 
 
+def test_field_overflow_raises():
+    # float ** raises OverflowError where * would give inf
+    with pytest.raises(FlowDiverged, match=r"^state overflows at t=0\.1 \(step 1\)"):
+        rk4_path(lambda _t, y: tuple([v ** 2 for v in y]), (1e200,), 1.0, 0.1)
+
+
 def test_array_state_with_array_field():
     """An ndarray y0 with a field on whole arrays, as a caller may pass."""
     times, states = rk4_path(lambda _t, y: -y, np.array([1.0, 0.0]), 1.0, 1e-3, record_every=100)

@@ -1,14 +1,31 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from helpers import evaluate_by_terms, magnitude_polynomial, random_polynomial
+from helpers import (
+    compile_terms,
+    evaluate_by_terms,
+    evaluate_compiled,
+    magnitude_polynomial,
+    random_polynomial,
+    random_spin_polynomial,
+)
 from semiq import (
     PhasePoint,
     Polynomial,
     format_polynomial,
+    observables,
     poisson_bracket,
 )
-from semiq.observables import _columns
+from semiq.models import (
+    OscillatorParams,
+    SpinPolynomial,
+    _spin_drift,
+    oscillator_faq,
+)
+from semiq.observables import _column_reads, _columns, _compile, _coordinate_reads
+from semiq.quantize import FockSpace, normal_quantize
 
 
 def z(mode=0, modes=1):
@@ -219,6 +236,112 @@ def test_compiled_evaluator_matches_term_loop():
         assert np.all(np.abs(by_point - expected) <= 1e-15 * scale)
         assert poly.evaluate(points[0]) == by_point[0]
         assert poly.evaluate(PhasePoint(points[0])) == by_point[0]
+
+
+def assert_same_bits(value, expected):
+    """Same type, same values and the same sign of every zero part."""
+    assert type(value) is type(expected)
+    value, expected = np.asarray(value), np.asarray(expected)
+    assert value.dtype == expected.dtype and np.array_equal(value, expected)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(value)), np.signbit(part(expected)))
+
+
+# Coordinate parts: signed zeros beside non-zero values.
+SIGNED_PARTS = (0.0, -0.0, 0.7, -1.3)
+
+
+def signed_zero_coords(rng, modes, n):
+    """(modes, n) coordinates whose real and imaginary parts are drawn from
+    SIGNED_PARTS."""
+    return rng.choice(SIGNED_PARTS, size=(modes, n)) + 1j * rng.choice(SIGNED_PARTS, size=(modes, n))
+
+
+def test_generated_function_matches_term_loop_bitwise():
+    """The generated function of a polynomial against the term loop of
+    compile_terms, bit for bit: random polynomials, the zero and a constant
+    one, and one of more terms than a generated statement holds, on
+    one-point Python scalars, on (m, N) array columns, on coordinates with
+    signed-zero parts, and read from a flow's tuple state."""
+    rng = np.random.default_rng(71)
+    polys = [random_polynomial(rng, int(rng.integers(1, 4)), 6, n_terms=8, integer=False) for _ in range(30)]
+    polys += [Polynomial.zero(2), Polynomial.constant(1, complex(-0.0, 2.5)), Polynomial.constant(3, -1.25)]
+    large = random_polynomial(rng, 2, 12, n_terms=900, integer=False)
+    assert len(large.terms) > 2 * observables._TERMS_PER_LINE
+    polys.append(large)
+    for poly in polys:
+        m = poly.mode_count
+        compiled = compile_terms(poly.terms)
+        flow_values = _compile((poly.terms, poly.terms), _coordinate_reads(m))
+        random_coords = rng.uniform(-1.5, 1.5, size=(m, 20)) + 1j * rng.uniform(-1.5, 1.5, size=(m, 20))
+        for coords in (random_coords, signed_zero_coords(rng, m, 20)):
+            assert_same_bits(poly._evaluate_coords(_columns(coords)), evaluate_compiled(compiled, _columns(coords)))
+            for point in coords.T[:8].tolist():
+                expected = evaluate_compiled(compiled, _columns(point))
+                assert_same_bits(poly._evaluate_coords(_columns(point)), expected)
+                assert_same_bits(poly.evaluate(point), expected)
+                for value in flow_values((*point, 0.0)):
+                    assert_same_bits(value, expected)
+
+
+def test_generated_spin_function_matches_term_loop_bitwise():
+    """SpinPolynomial.evaluate and the real parts of a composed spin drift
+    against the term loop, bit for bit, on Python floats and on (3, N)
+    columns, signed zeros included."""
+    rng = np.random.default_rng(73)
+    polys = [random_spin_polynomial(rng, 4) for _ in range(20)]
+    polys += [SpinPolynomial({}), SpinPolynomial({(0, 0, 0): complex(1.5, -0.0)})]
+    for index, poly in enumerate(polys):
+        compiled = compile_terms(poly.terms)
+        hamiltonian = SpinPolynomial({key: coeff.real for key, coeff in polys[index - 1].terms.items()})
+        drift = _spin_drift(hamiltonian, poly)
+        velocity = _compile(drift, _column_reads(3), real=True)
+        random_l = rng.uniform(-1.5, 1.5, size=(3, 20))
+        for l in (random_l, rng.choice(SIGNED_PARTS, size=(3, 20))):
+            assert_same_bits(poly.evaluate(l), evaluate_compiled(compiled, l))
+            for point in l.T[:8].tolist():
+                assert_same_bits(poly.evaluate(point), evaluate_compiled(compiled, point))
+                for value, terms in zip(velocity(point), drift):
+                    assert_same_bits(value, evaluate_compiled(compile_terms(terms), point).real)
+
+
+def test_polynomials_compile_on_first_evaluation(monkeypatch):
+    """Building, composing and quantizing polynomials generates no code; the
+    first evaluation compiles once, and polynomials of one shape share one
+    code object, as the points of a sweep do."""
+    calls = []
+    compile_once = observables._compile
+    monkeypatch.setattr(observables, "_compile", lambda *args, **kw: calls.append(args) or compile_once(*args, **kw))
+    poly = (z() + 2.0 * zc() + 0.5j) ** 3 * z()
+    normal_quantize(poly, FockSpace((6,)))
+    poisson_bracket(poly, poly.conjugate()).partial(0, "zc")
+    assert calls == [] and poly._function is None
+    poly.evaluate([0.3 + 0.1j])
+    poly.evaluate([0.5])
+    assert len(calls) == 1
+    other = Polynomial(1, {key: 2.0 * coeff - 1.0 for key, coeff in poly.terms.items()})
+    assert other.evaluate([0.3]) != poly.evaluate([0.3])
+    assert other._function.__code__ is poly._function.__code__
+    sweep = [oscillator_faq(OscillatorParams(1.0, lam)).hamiltonian for lam in (0.1, 0.4)]
+    assert sweep[0]._function.__code__ is sweep[1]._function.__code__
+    spin = SpinPolynomial({(1, 0, 2): 0.5})
+    assert spin._function is None
+    spin.evaluate([1.0, 0.0, 2.0])
+    assert spin._function is not None
+
+
+def test_evaluated_polynomials_pickle():
+    """A polynomial keeps pickling once it has generated its function, and
+    so does an FaqSystem, whose hamiltonian is evaluated when it is made."""
+    poly = (z() + 0.5j * zc()) ** 2
+    spin = SpinPolynomial({(1, 0, 2): 0.5 - 1j})
+    system = oscillator_faq(OscillatorParams(1.0, 0.2))
+    poly.evaluate([0.3])
+    spin.evaluate([1.0, 0.5, 2.0])
+    copy = pickle.loads(pickle.dumps(poly))
+    assert copy == poly and copy.evaluate([0.3]) == poly.evaluate([0.3])
+    assert pickle.loads(pickle.dumps(spin)).evaluate([1.0, 0.5, 2.0]) == spin.evaluate([1.0, 0.5, 2.0])
+    assert pickle.loads(pickle.dumps(system)).drift_polynomials == system.drift_polynomials
 
 
 # -- text form ----------------------------------------------------------------

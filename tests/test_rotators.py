@@ -36,7 +36,7 @@ from semiq.models import (
     rotator_spin_operators,
     spin_components,
 )
-from semiq.observables import _compile, _evaluate
+from semiq.observables import _column_reads, _compile
 
 PARAMS = RotatorParams(omega1=1.1, omega2=0.9, lam=0.2, l=5)
 SYNC = RotatorParams(omega1=1.0, omega2=1.0, lam=0.2, l=5)
@@ -145,7 +145,7 @@ def test_spin_flow_field_closed_form():
     rng = np.random.default_rng(65)
     for _ in range(20):
         l = rng.uniform(-1, 1, size=3).tolist()
-        values = [_evaluate(_compile(terms), l) for terms in velocity]
+        values = _compile(velocity, _column_reads(3))(l)
         expected = [4 * lam * l[1] ** 2, -4 * lam * l[0] * l[1], 0.0]
         assert np.max(np.abs(np.subtract(values, expected))) <= 1e-15
 
