@@ -3,82 +3,102 @@
 Deliberately minimal: RK4 with a fixed step and no adaptivity, so repeated
 runs are bit-reproducible and regression tests stay byte-stable.
 
-The one RK4 takes a state in either of two forms, and its field returns
-the same form:
+A state is a tuple of Python scalars, one point's coordinates (the
+classical flows of faq and models), and its field returns a tuple of the
+same width.  The one RK4 step is generated per state width, on the first
+path of that width, with the components unpacked into names: for width 2,
 
-- a tuple of Python scalars, one point's coordinates (the classical flows
-  of faq and models);
-- an ndarray of any shape (the matrix oracles of the tests).
+    y0, y1, = y
+    a0, a1, = field(t, y)
+    b0, b1, = field(t + half, (y0 + half * a0, y1 + half * a1, ))
+    ...
+    return ((2.0 * b0 + a0 + 2.0 * c0 + d0) * sixth + y0, ...)
 
-Each stage applies the same expression, y + c k and then
-(2 k2 + k1 + 2 k3 + k4)(h/6) + y, component by component on a tuple or to
-the whole array at once.  A one-point state has two to four components,
-where every numpy call costs about a microsecond of dispatch whatever its
-size; Python's scalar arithmetic rounds exactly as numpy's element-wise
-arithmetic does, so the two forms give the same bits.
+A one-point state has one to four components, where a loop or a map over
+them costs more than the field itself.  An ndarray state of any shape (the
+matrix oracles of the tests) runs through the width-1 step as the one
+component of a tuple; Python's scalar arithmetic rounds exactly as numpy's
+element-wise arithmetic does, so a point gives the same bits either way.
+
+The time grid is round(t_end / dt) steps of dt: dt <= 0, t_end < 0 and a
+non-finite t_end, dt or step count are rejected with ValueError.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import FlowDiverged
 
-__all__ = ["rk4_step", "rk4_path"]
+__all__ = ["rk4_path"]
 
 
-def _each(expr, *states):
-    """expr applied component by component to tuple states."""
-    return tuple(map(expr, *states))
+@lru_cache(maxsize=32)
+def _rk4(width: int):
+    """The RK4 step(field, t, y, h) and the check finite(y) for tuple states
+    of `width` components, generated once per width.
 
-
-def _whole(expr, *states):
-    """expr applied to whole array states."""
-    return expr(*states)
-
-
-def rk4_step(field, t: float, y, h: float):
-    """One classical RK4 step, y + (h/6) (k1 + 2 k2 + 2 k3 + k4).
-
-    y is a tuple of Python scalars or an ndarray (see the module notes).
-    The field returns the derivative in y's form.  The combination is
-    summed as (2 k2 + k1 + 2 k3 + k4)(h/6) + y; floating-point addition and
+    The step sums y + (h/6) (k1 + 2 k2 + 2 k3 + k4) component by component
+    as (2 k2 + k1 + 2 k3 + k4)(h/6) + y; floating-point addition and
     multiplication commute, so it pairs the same values as the plain
     expression.
     """
-    apply = _each if isinstance(y, tuple) else _whole
-    half = 0.5 * h
-    sixth = h / 6.0
-    k1 = field(t, y)
-    k2 = field(t + half, apply(lambda y, k: y + half * k, y, k1))
-    k3 = field(t + half, apply(lambda y, k: y + half * k, y, k2))
-    k4 = field(t + h, apply(lambda y, k: y + h * k, y, k3))
-    return apply(
-        lambda y, k1, k2, k3, k4: (2.0 * k2 + k1 + 2.0 * k3 + k4) * sixth + y,
-        y, k1, k2, k3, k4,
-    )
+    def unpack(k):  # "k0, k1, = ", or "() = " for the empty state
+        return ("".join(f"{k}{i}, " for i in range(width)) or "() ") + "= "
+
+    def each(expr):  # the tuple of expr over the components
+        return "(" + "".join(expr.format(i=i) + ", " for i in range(width)) + ")"
+
+    finite = " and ".join(f"isfinite(y{i})" for i in range(width)) or "True"
+    source = "\n".join([
+        "def step(field, t, y, h):",
+        "    half = 0.5 * h",
+        "    sixth = h / 6.0",
+        f"    {unpack('y')}y",
+        f"    {unpack('a')}field(t, y)",
+        f"    {unpack('b')}field(t + half, {each('y{i} + half * a{i}')})",
+        f"    {unpack('c')}field(t + half, {each('y{i} + half * b{i}')})",
+        f"    {unpack('d')}field(t + h, {each('y{i} + h * c{i}')})",
+        f"    return {each('(2.0 * b{i} + a{i} + 2.0 * c{i} + d{i}) * sixth + y{i}')}",
+        "def finite(y):",
+        f"    {unpack('y')}y",
+        f"    return {finite}\n",
+    ])
+    namespace = {"isfinite": cmath.isfinite}
+    exec(compile(source, f"<rk4 width {width}>", "exec"), namespace)
+    return namespace["step"], namespace["finite"]
 
 
 def _step_count(t_end: float, dt: float) -> int:
     """The time-grid rule shared by every integrator: round(t_end / dt)
     steps of size dt, so the final time is within dt of t_end."""
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt!r}")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
-    return int(round(t_end / dt))
+    ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_end / dt = {t_end!r} / {dt!r} is not a finite step count")
+    return int(round(ratio))
 
 
 def rk4_path(field, y0, t_end: float, dt: float, record_every: int = 1):
     """Integrate dy/dt = field(t, y) from 0 to (approximately) t_end.
 
-    y0 is a tuple of Python scalars or an array (see the module notes); the
-    field returns y's form.  The time grid follows _step_count.  Returns
-    (times, states) with states stacked along axis 0 as an array, recorded
-    every `record_every` steps plus the final state.  Raises FlowDiverged
-    as soon as a non-finite state appears, or as soon as the field raises
+    y0 is a tuple of Python scalars, with a field returning a tuple of its
+    width, or an array, with a field returning an array (see the module
+    notes).  The time grid follows _step_count.  Returns (times, states)
+    with states stacked along axis 0 as an array, recorded every
+    `record_every` steps plus the final state.  Raises FlowDiverged as soon
+    as a non-finite state appears, or as soon as the field raises
     OverflowError: Python's `**` raises it on a float or complex result
     past the float range, where numpy and the other operators give inf.
     """
@@ -86,17 +106,29 @@ def rk4_path(field, y0, t_end: float, dt: float, record_every: int = 1):
         raise ValueError(f"record_every must be at least 1, got {record_every}")
     n_steps = _step_count(t_end, dt)
     scalar = isinstance(y0, tuple)
-    y = y0 if scalar else np.array(y0)
+    if scalar:
+        advance, finite = _rk4(len(y0))
+        y, stage_field = y0, field
+    else:  # the array is the one component of a width-1 state
+        advance = _rk4(1)[0]
+        y = (np.array(y0),)
+
+        def stage_field(t, y):
+            return (field(t, y[0]),)
+
+        def finite(y):
+            return np.all(np.isfinite(y[0]))
+
     times = [0.0]
     states = [y]  # every step makes a new state, so none is copied
     for step in range(1, n_steps + 1):
         try:
-            y = rk4_step(field, (step - 1) * dt, y, dt)
+            y = advance(stage_field, (step - 1) * dt, y, dt)
         except OverflowError as exc:
             raise FlowDiverged(f"state overflows at t={step * dt:.6g} (step {step}): {exc}") from exc
-        if not (all(map(cmath.isfinite, y)) if scalar else np.all(np.isfinite(y))):
+        if not finite(y):
             raise FlowDiverged(f"non-finite state at t={step * dt:.6g} (step {step})")
         if step % record_every == 0 or step == n_steps:
             times.append(step * dt)
             states.append(y)
-    return np.array(times), np.array(states)
+    return np.array(times), np.array(states if scalar else [y for (y,) in states])

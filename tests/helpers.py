@@ -80,6 +80,30 @@ def evaluate_compiled(compiled, columns):
     return total
 
 
+def rk4_step_by_components(field, t, y, h):
+    """Oracle for the generated RK4 step of integrate: each stage maps its
+    expression over the components of tuple states, y + c k and then
+    (2 k2 + k1 + 2 k3 + k4)(h/6) + y."""
+    half = 0.5 * h
+    sixth = h / 6.0
+    k1 = field(t, y)
+    k2 = field(t + half, tuple(map(lambda y, k: y + half * k, y, k1)))
+    k3 = field(t + half, tuple(map(lambda y, k: y + half * k, y, k2)))
+    k4 = field(t + h, tuple(map(lambda y, k: y + h * k, y, k3)))
+    return tuple(map(
+        lambda y, k1, k2, k3, k4: (2.0 * k2 + k1 + 2.0 * k3 + k4) * sixth + y,
+        y, k1, k2, k3, k4,
+    ))
+
+
+def rk4_path_by_components(field, y0, n_steps, dt):
+    """Oracle path: y0 and the state after each of n_steps oracle steps."""
+    states = [y0]
+    for step in range(n_steps):
+        states.append(rk4_step_by_components(field, step * dt, states[-1], dt))
+    return states
+
+
 def verify_faq_by_point(system, field, samples):
     """Oracle for verify_faq's max_abs_error: one sample point at a time,
     the drift from evaluate_by_terms and the field called on one point."""
