@@ -56,7 +56,7 @@ from . import models
 from ._csv import write_csv
 from .errors import NumericalFailure
 from .faq import ensemble_weights, export_trajectory_csv, sample_phase_points, verify_faq
-from .lindblad import DensityMatrix, evolve, stationary
+from .lindblad import NULL_TOL, POSITIVITY_TOL, DensityMatrix, evolve, stationary
 from .observables import PhasePoint
 from .quantize import FockSpace, annihilation, export_operator_csv, number
 
@@ -343,9 +343,10 @@ def _grid_problems(dt_key: str | None, resolved: dict) -> list[str]:
 def _params_problems(resolved: dict, model: str) -> list[str]:
     """Model parameters that the model's params dataclass rejects, at every
     point of the sweep grid over params keys, and the values a run's
-    baseline rejects: rotators spin sizes above the exact-solve limit and a
+    baseline rejects: rotators spin sizes above the exact-solve limit, a
     limit-cycle gain lambda that is not positive (recurrence_stationary
-    needs nu > 0)."""
+    needs nu > 0), and a limit-cycle nu above KUMMER_X_MAX / 2 (mean_n and
+    mandel_q sum Phi at x = 2 nu)."""
     experiment = resolved["experiment"]
     keys = [dotted for dotted in resolved["sweep"] if dotted.startswith("params.")]
     problems = []
@@ -361,6 +362,10 @@ def _params_problems(resolved: dict, model: str) -> list[str]:
         if experiment == "limit-cycle" and not params.nu > 0:
             problems.append(
                 f"{where}: params.lambda must be positive; the stationary baseline needs nu = lambda / mu > 0"
+            )
+        if experiment == "limit-cycle" and 2.0 * params.nu > models.KUMMER_X_MAX:
+            problems.append(
+                f"{where}: nu = lambda / mu {params.nu!r} exceeds the series limit {models.KUMMER_X_MAX / 2:g} of mean_n"
             )
         if experiment == "rotators" and params.l > models.EXACT_SPIN_L_MAX:
             problems.append(
@@ -437,7 +442,7 @@ def _run_oscillator(resolved: dict, out_dir: Path | None) -> dict:
         model, rho0, t_end, dt,
         observables={"a": a_op, "n": number(dim)},
         sample_every=sample_every,
-        validate_pos_tol=n["validate.pos_tol"],
+        pos_tol=n["validate.pos_tol"],
     )
     steps_per_sample = int(round((result.times[1] - result.times[0]) / dt)) if len(result.times) > 1 else 1
     [(trajectory, weights)] = ensemble_weights(
@@ -591,7 +596,7 @@ _EXPERIMENTS = {
             "t_end": (None, _real),
             "alpha": ([2.0, 0.0], _complex_pair),
             "sample_every": (0, _integer_from(0)),
-            "validate.pos_tol": (1e-8, _positive),
+            "validate.pos_tol": (POSITIVITY_TOL, _positive),
             **_FAQ_CHECK,
         },
         "oscillator", "evolve.dt", _run_oscillator,
@@ -600,16 +605,16 @@ _EXPERIMENTS = {
         {
             "dim": (None, _integer_from(models.LIMIT_CYCLE_DIM_MIN)),
             "n_max": (None, _integer_from(models.RECURRENCE_N_MAX_MIN)),
-            "stationary.null_tol": (1e-10, _relative_tol),
-            "validate.pos_tol": (1e-8, _positive),
+            "stationary.null_tol": (NULL_TOL, _relative_tol),
+            "validate.pos_tol": (POSITIVITY_TOL, _positive),
             **_FAQ_CHECK,
         },
         "limit-cycle", None, _run_limit_cycle,
     ),
     "rotators": _Experiment(
         {
-            "stationary.null_tol": (1e-10, _relative_tol),
-            "validate.pos_tol": (1e-8, _positive),
+            "stationary.null_tol": (NULL_TOL, _relative_tol),
+            "validate.pos_tol": (POSITIVITY_TOL, _positive),
             **_FAQ_CHECK,
         },
         "rotators", None, _run_rotators,

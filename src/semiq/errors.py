@@ -21,9 +21,9 @@ class PositivityViolation(NumericalFailure):
 class DegenerateStationaryState(NumericalFailure):
     """Generator null space is not one-dimensional."""
 
-    def __init__(self, null_dim: int, message: str | None = None):
+    def __init__(self, null_dim: int):
         self.null_dim = null_dim
-        super().__init__(message or f"stationary state is degenerate: null space dimension {null_dim}")
+        super().__init__(f"stationary state is degenerate: null space dimension {null_dim}")
 
 
 class TailNotNegligible(NumericalFailure):

@@ -122,6 +122,8 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
+NULL_TOL = 1e-10  # relative to the largest singular value; see stationary
+RESIDUAL_TOL = 1e-10
 UNIT_ROUNDOFF = 2.0**-53
 SUBSTEP_NORM = 5.0  # the largest h ||L||_1 of an evolve substep
 
@@ -131,21 +133,15 @@ class DensityMatrix:
 
     __slots__ = ("op",)
 
-    def __init__(
-        self,
-        op: OperatorMatrix,
-        herm_tol: float = HERMITICITY_TOL,
-        trace_tol: float = TRACE_TOL,
-        pos_tol: float = POSITIVITY_TOL,
-    ):
+    def __init__(self, op: OperatorMatrix, pos_tol: float = POSITIVITY_TOL):
         if not isinstance(op, OperatorMatrix):
             op = OperatorMatrix(op)
         mat = op.mat
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_dev > herm_tol:
+        if herm_dev > HERMITICITY_TOL:
             raise ValueError(f"density matrix is not Hermitian: deviation {herm_dev:.3e}")
         trace_dev = abs(np.trace(mat) - 1.0)
-        if trace_dev > trace_tol:
+        if trace_dev > TRACE_TOL:
             raise ValueError(f"density matrix trace differs from 1 by {trace_dev:.3e}")
         min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
         if min_eig < -pos_tol:
@@ -203,16 +199,16 @@ class LindbladModel:
     def __post_init__(self):
         channels = tuple(self.channels)
         object.__setattr__(self, "channels", channels)
-        if not self.h.is_hermitian(1e-12):
+        if not self.h.is_hermitian():
             raise ValueError("H must be Hermitian to 1e-12")
         for j, channel in enumerate(channels):
             if channel.dim != self.h.dim:
                 raise ValueError(f"channel {j} dimension does not match H")
-        channel_data = tuple((r.mat, r.mat.conj().T) for r in channels)
+        channel_mats = tuple(r.mat for r in channels)
         k = -1j * self.h.mat
-        for r, r_dag in channel_data:
-            k = k - r_dag @ r
-        object.__setattr__(self, "_channel_data", channel_data)
+        for r in channel_mats:
+            k = k - r.conj().T @ r
+        object.__setattr__(self, "_channel_mats", channel_mats)
         object.__setattr__(self, "_k", k)
 
     @property
@@ -283,7 +279,7 @@ def _make_stencil(model: LindbladModel) -> tuple:
     offsets, vectors = _diagonals(model._k)
     shifts = [offsets * d]
     weights = [np.repeat(vectors, d, axis=1)]
-    for r, _r_dag in model._channel_data:
+    for r in model._channel_mats:
         offsets, vectors = _diagonals(r)
         shifts.append((offsets[:, None] * d + offsets).ravel())
         pairs = vectors[:, None, :, None] * vectors.conj()[None, :, None, :]
@@ -348,8 +344,7 @@ def evolve(
     dt: float,
     observables: Mapping[str, OperatorMatrix] | None = None,
     sample_every: int | None = None,
-    pos_abort_tol: float = 1e-6,
-    validate_pos_tol: float = POSITIVITY_TOL,
+    pos_tol: float = POSITIVITY_TOL,
 ) -> EvolveResult:
     """The master equation from rho0, sampled on the grid of _step_count:
     rho at each sample is exp(tau L) applied to the one before, tau =
@@ -358,12 +353,13 @@ def evolve(
     Expectations of the named observables are sampled every `sample_every`
     steps of dt (default: about 200 samples per run; at least 1), and at
     the last step.  Trace, Hermiticity, positivity and the top-level
-    population (EvolveResult) are monitored at the samples; an eigenvalue
-    below -pos_abort_tol raises PositivityViolation, which signals a
-    broken model or a Fock truncation too small for this state, since the
-    exact flow of a Lindblad generator keeps rho positive.  A non-finite
-    generator raises PositivityViolation, and a substep whose series does
-    not converge within its degree cap raises SeriesDivergence.
+    population (EvolveResult) are monitored at every sample, t = 0 and the
+    last included; an eigenvalue below -pos_tol raises PositivityViolation.
+    The truncated generator keeps Lindblad form, so its exact flow keeps rho
+    positive: such an eigenvalue is rounding beyond pos_tol or a broken
+    model, and a Fock cut too small shows in top_level_population instead.
+    A non-finite generator raises PositivityViolation, and a substep whose
+    series does not converge within its degree cap raises SeriesDivergence.
     """
     n_steps = _step_count(t_end, dt)
     if rho0.dim != model.dim:
@@ -436,9 +432,9 @@ def evolve(
         # mat is exactly Hermitian (see above), so it goes to eigvalsh as is.
         min_eig = float(np.linalg.eigvalsh(mat).min())
         min_eig_seen = min(min_eig_seen, min_eig)
-        if min_eig < -pos_abort_tol:
+        if min_eig < -pos_tol:
             raise PositivityViolation(
-                f"eigenvalue {min_eig:.3e} at t={t:.6g}: broken model or truncation too small"
+                f"eigenvalue {min_eig:.3e} at t={t:.6g}: rounding beyond pos_tol {pos_tol:.1e} or a broken model"
             )
 
     record(0.0, rho)
@@ -478,7 +474,7 @@ def evolve(
         times.append(step * dt)
         record(step * dt, rho)
 
-    final = DensityMatrix(OperatorMatrix(rho, rho0.basis), pos_tol=validate_pos_tol)
+    final = DensityMatrix(OperatorMatrix(rho, rho0.basis), pos_tol=pos_tol)
     return EvolveResult(
         final=final,
         times=np.array(times),
@@ -533,7 +529,7 @@ def _sectors(model: LindbladModel) -> tuple[list[np.ndarray], np.ndarray]:
     # R_lj are both non-zero.
     src = [(k_cols[:, None] + d * index).ravel(), (index[:, None] + d * k_cols).ravel()]
     dst = [(k_rows[:, None] + d * index).ravel(), (index[:, None] + d * k_rows).ravel()]
-    for r, _r_dag in model._channel_data:
+    for r in model._channel_mats:
         rows, cols = np.nonzero(r)
         src.append((cols[:, None] + d * cols).ravel())
         dst.append((rows[:, None] + d * rows).ravel())
@@ -573,18 +569,13 @@ def liouvillian_matrix(model: LindbladModel, positions: np.ndarray | None = None
 
     out = entries(model._k, rows) * (cols[:, None] == cols)
     out += (rows[:, None] == rows) * entries(model._k.conj(), cols)
-    for r, _r_dag in model._channel_data:
+    for r in model._channel_mats:
         out += entries(r, rows) * entries(2.0 * r.conj(), cols)
     return out
 
 
 @blas_threads(1)
-def stationary(
-    model: LindbladModel,
-    null_tol: float = 1e-10,
-    residual_tol: float = 1e-10,
-    pos_tol: float = POSITIVITY_TOL,
-) -> DensityMatrix:
+def stationary(model: LindbladModel, null_tol: float = NULL_TOL, pos_tol: float = POSITIVITY_TOL) -> DensityMatrix:
     """Unique stationary state from the null space of the vectorized generator.
 
     The generator is solved per sector (liouvillian_sectors).  Since
@@ -603,7 +594,8 @@ def stationary(
     below null_tol relative to the largest count as null directions, and a
     null space of dimension other than one raises DegenerateStationaryState
     with that dimension.  The null vector is Hermitized, trace-normalized and
-    validated (residual below residual_tol, eigenvalues above -pos_tol).
+    validated: a residual above RESIDUAL_TOL, or an eigenvalue below -pos_tol
+    (rounding or a broken model, as in evolve), raises NumericalFailure.
 
     Each block is solved once per mirror pair of sectors.  The block of a
     sector's mirror is the entrywise conjugate of its own after permuting
@@ -673,18 +665,14 @@ def stationary(
     # gives L(candidate) = m + m+ bit for bit as _rhs_mat does with two.
     m = _apply_stencil(model._stencil, candidate)
     residual = float(np.max(np.abs(m + m.conj().T)))
-    if residual > residual_tol:
-        raise NumericalFailure(
-            f"stationary residual {residual:.3e} exceeds {residual_tol:.1e}"
-        )
+    if residual > RESIDUAL_TOL:
+        raise NumericalFailure(f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
     min_eig = float(np.linalg.eigvalsh(candidate).min())
     if min_eig < -pos_tol:
         raise NumericalFailure(
-            f"stationary state has eigenvalue {min_eig:.3e}: truncation too small"
+            f"stationary state has eigenvalue {min_eig:.3e}: rounding beyond pos_tol {pos_tol:.1e} or a broken model"
         )
-    return DensityMatrix(
-        OperatorMatrix(candidate, model.h.basis), pos_tol=pos_tol
-    )
+    return DensityMatrix(OperatorMatrix(candidate, model.h.basis), pos_tol=pos_tol)
 
 
 def expectation(rho: DensityMatrix | OperatorMatrix, observable: OperatorMatrix) -> complex:
@@ -711,8 +699,8 @@ def adjoint_generator(observable: OperatorMatrix, model: LindbladModel) -> Opera
         raise ValueError("observable dimension does not match model")
     a = observable.mat
     out = model._k.conj().T @ a + a @ model._k
-    for r, r_dag in model._channel_data:
-        out += 2.0 * (r_dag @ a @ r)
+    for r in model._channel_mats:
+        out += 2.0 * (r.conj().T @ a @ r)
     return OperatorMatrix(out, observable.basis if observable.basis == model.h.basis else None)
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import SeriesDivergence, TailNotNegligible
 from .faq import FaqSystem
 from .integrate import rk4_path
-from .lindblad import LindbladModel, adjoint_rate, expectation, stationary
+from .lindblad import NULL_TOL, POSITIVITY_TOL, LindbladModel, adjoint_rate, expectation, stationary
 from .observables import PhasePoint, Polynomial, _accumulate, _column_reads, _compile, _derivative, _product
 from .quantize import (
     FockSpace,
@@ -63,6 +63,7 @@ __all__ = [
     "limit_cycle_lindblad",
     "RECURRENCE_N_MAX_MIN",
     "recurrence_stationary",
+    "KUMMER_X_MAX",
     "kummer_phi",
     "generating_function",
     "mean_n",
@@ -259,17 +260,22 @@ def recurrence_stationary(nu: float, n_max: int) -> np.ndarray:
     return solution / solution.sum()
 
 
+# Largest |x| at which kummer_phi sums its series.  mean_n and mandel_q
+# evaluate Phi at x = 2 nu, so they take nu <= KUMMER_X_MAX / 2.
+KUMMER_X_MAX = 200.0
+
+
 def kummer_phi(a: float, c: float, x: float) -> float:
     """Confluent hypergeometric Phi(a, c, x) = sum_k (a)_k/(c)_k x^k/k!.
 
     Plain series summation with term-ratio stopping at relative 1e-14,
-    valid in the series regime |x| <= 200.  c at a non-positive integer is
-    a pole.
+    valid in the series regime |x| <= KUMMER_X_MAX.  c at a non-positive
+    integer is a pole.
     """
     if c <= 0 and c == int(c):
         raise ValueError(f"Phi(a, c, x) has a pole at non-positive integer c={c}")
-    if abs(x) > 200:
-        raise ValueError(f"|x|={abs(x)} outside the series regime (|x| <= 200)")
+    if abs(x) > KUMMER_X_MAX:
+        raise ValueError(f"|x|={abs(x)} outside the series regime (|x| <= {KUMMER_X_MAX:g})")
     term = 1.0
     total = 1.0
     consecutive_small = 0
@@ -395,6 +401,10 @@ class PhaseFlowResult:
     final_difference_rate: float
 
 
+# Largest |dpsi/dt| at the end of a phase_model_flow run that counts as locked.
+LOCK_TOL = 1e-6
+
+
 def phase_model_flow(
     omega1: float,
     omega2: float,
@@ -402,8 +412,6 @@ def phase_model_flow(
     phi0: Sequence[float],
     t_end: float,
     dt: float,
-    lock_tol: float = 1e-6,
-    record_every: int = 1,
 ) -> PhaseFlowResult:
     """Integrate the bare phase model
 
@@ -412,7 +420,7 @@ def phase_model_flow(
 
     The difference psi = phi2 - phi1 obeys dpsi/dt = -(omega1 - omega2)
     - 2a sin(psi), so the pair locks when |omega1 - omega2| < 2a.  `locked`
-    reports whether |dpsi/dt| fell below lock_tol by the end of the run.
+    reports whether |dpsi/dt| fell below LOCK_TOL by the end of the run.
     """
 
     def field(_t, phi):
@@ -422,13 +430,13 @@ def phase_model_flow(
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (2,):
         raise ValueError("phi0 must contain two phases")
-    times, phases = rk4_path(field, tuple(phi0.tolist()), t_end, dt, record_every=record_every)
+    times, phases = rk4_path(field, tuple(phi0.tolist()), t_end, dt)
     final = phases[-1]
     rate = (omega2 - omega1) + coupling * np.sin(final[0] - final[1]) - coupling * np.sin(final[1] - final[0])
     return PhaseFlowResult(
         times=times,
         phases=phases,
-        locked=bool(abs(rate) <= lock_tol),
+        locked=bool(abs(rate) <= LOCK_TOL),
         final_difference_rate=float(rate),
     )
 
@@ -661,15 +669,13 @@ def ly2_analytic(n_excitations: float) -> float:
     return (sqrt(n * n + 2.0 * n + 9.0 / 16.0) - 0.75) / 8.0
 
 
-def closure_stationary(n_excitations: float, delta: float = 0.0) -> MomentState:
+def closure_stationary(n_excitations: float) -> MomentState:
     """Stationary moments of the synchronized rotators under cumulant closure.
 
     Solves the decoupled moment system together with the angular momentum
     budget lx2 + ly2 + lz2 = (N/2)(N/2+1) by its closed-form quadratic
-    reduction.  Only complete synchronization (delta = 0) is supported.
+    reduction, at complete synchronization (delta = 0).
     """
-    if delta != 0.0:
-        raise ValueError("only the completely synchronized case delta = 0 is supported")
     n = float(n_excitations)
     if n < 2:
         raise ValueError("N must be at least 2")
@@ -707,28 +713,26 @@ EXACT_SPIN_L_MAX = 24
 
 def closure_vs_exact_report(
     params: RotatorParams,
-    l_values: Sequence[float] | None = None,
-    null_tol: float = 1e-10,
-    pos_tol: float = 1e-8,
+    null_tol: float = NULL_TOL,
+    pos_tol: float = POSITIVITY_TOL,
 ) -> ClosureComparison:
     """Closure noise level against the exact stationary state, per spin size.
 
-    For each l (default 1, 2, ..., params.l) the exact stationary state is
-    solved from the generator null space and <l_y^2> is compared with the
-    closed-form closure value.  Every l must be at most EXACT_SPIN_L_MAX.
-    The deviation is reported, not thresholded: the closure carries no a
-    priori error bound.
+    For each l of 1, 2, ..., params.l, and params.l itself when it is a
+    half-integer, the exact stationary state is solved from the generator
+    null space and <l_y^2> is compared with the closed-form closure value.
+    params.l must be at most EXACT_SPIN_L_MAX.  The deviation is reported,
+    not thresholded: the closure carries no a priori error bound.
     """
     if params.delta != 0.0:
         raise ValueError("the closure comparison applies to delta = 0 only")
-    if l_values is None:
-        l_values = [float(k) for k in range(1, int(params.l) + 1)]
-        if params.l != int(params.l):
-            l_values.append(params.l)
-    if max(l_values, default=0.0) > EXACT_SPIN_L_MAX:
+    if params.l > EXACT_SPIN_L_MAX:
         raise ValueError(f"exact stationary solve is limited to l <= {EXACT_SPIN_L_MAX}")
+    spins = [float(k) for k in range(1, int(params.l) + 1)]
+    if params.l != int(params.l):
+        spins.append(params.l)
     rows = []
-    for l in l_values:
+    for l in spins:
         sub = RotatorParams(params.omega1, params.omega2, params.lam, l)
         model = rotator_spin_model(sub)
         _lx, ly, lz = rotator_spin_operators(l)

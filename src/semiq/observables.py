@@ -244,15 +244,15 @@ class Polynomial:
         return cls.monomial(mode_count, {mode: (0, 1)})
 
     @classmethod
-    def monomial(cls, mode_count: int, powers: Mapping[int, tuple[int, int]], coeff: complex = 1.0) -> "Polynomial":
-        """Single term: coeff * prod_a z_a^k_a z*_a^l_a, powers keyed by mode."""
+    def monomial(cls, mode_count: int, powers: Mapping[int, tuple[int, int]]) -> "Polynomial":
+        """Single term: prod_a z_a^k_a z*_a^l_a, powers keyed by mode."""
         key = [0] * (2 * mode_count)
         for mode, (k, l) in powers.items():
             if not 0 <= mode < mode_count:
                 raise ValueError(f"mode index {mode} out of range for mode_count={mode_count}")
             key[2 * mode] = k
             key[2 * mode + 1] = l
-        return cls(mode_count, {tuple(key): coeff})
+        return cls(mode_count, {tuple(key): 1.0})
 
     # -- structure ----------------------------------------------------------
 
@@ -349,13 +349,10 @@ class Polynomial:
     def partial(self, mode: int, wrt: str = "z") -> "Polynomial":
         """Formal derivative with respect to z_mode or z*_mode.
 
-        `wrt` is "z" or "zc" (the text-form spelling of z*; "z*" is accepted
-        as an alias).  z and z* are independent variables.
+        `wrt` is "z" or "zc" (z*).  z and z* are independent variables.
         """
         if not 0 <= mode < self.mode_count:
             raise ValueError(f"mode index {mode} out of range for mode_count={self.mode_count}")
-        if wrt in ("z*", "conj"):
-            wrt = "zc"
         if wrt not in ("z", "zc"):
             raise ValueError(f"wrt must be 'z' or 'zc', got {wrt!r}")
         return Polynomial._of(self.mode_count, _derivative(self.terms, 2 * mode + (wrt == "zc")))

@@ -125,14 +125,8 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.mat.conj().T, self.basis)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= 1e-12)
 
     def _merge_basis(self, other: "OperatorMatrix"):
         if self.dim != other.dim:

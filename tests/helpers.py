@@ -9,7 +9,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from semiq import DegenerateStationaryState, DensityMatrix, NumericalFailure, OperatorMatrix, Polynomial
-from semiq.lindblad import POSITIVITY_TOL, _apply_stencil, liouvillian_matrix
+from semiq.lindblad import NULL_TOL, POSITIVITY_TOL, RESIDUAL_TOL, _apply_stencil, liouvillian_matrix
 from semiq.models import MomentState, SpinPolynomial
 
 
@@ -285,7 +285,7 @@ def expm_samples(generator, positions, rho0, taus):
     return states
 
 
-def svd_stationary(model, null_tol=1e-10, residual_tol=1e-10, pos_tol=POSITIVITY_TOL):
+def svd_stationary(model, null_tol=NULL_TOL, pos_tol=POSITIVITY_TOL):
     """Oracle for lindblad.stationary: one full SVD of the whole dim^2 x dim^2
     generator, with no use of its sectors.  Same null-space rule and checks."""
     d = model.dim
@@ -303,14 +303,14 @@ def svd_stationary(model, null_tol=1e-10, residual_tol=1e-10, pos_tol=POSITIVITY
     candidate = candidate / trace
 
     residual = float(np.max(np.abs(commutator_rhs(model, candidate))))
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise NumericalFailure(
-            f"stationary residual {residual:.3e} exceeds {residual_tol:.1e}"
+            f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
     min_eig = float(np.linalg.eigvalsh(candidate).min())
     if min_eig < -pos_tol:
         raise NumericalFailure(
-            f"stationary state has eigenvalue {min_eig:.3e}: truncation too small"
+            f"stationary state has eigenvalue {min_eig:.3e}: rounding beyond pos_tol {pos_tol:.1e} or a broken model"
         )
     return DensityMatrix(
         OperatorMatrix(candidate, model.h.basis), pos_tol=pos_tol

@@ -10,6 +10,7 @@ from semiq.cli import _config_hash, main, resolve_config, validate_config
 from semiq.faq import FaqSystem
 from semiq.models import (
     EXACT_SPIN_L_MAX,
+    KUMMER_X_MAX,
     LIMIT_CYCLE_DIM_MIN,
     OSCILLATOR_DIM_MIN,
     RECURRENCE_N_MAX_MIN,
@@ -17,11 +18,17 @@ from semiq.models import (
     OscillatorParams,
     limit_cycle_lindblad,
     ly2_analytic,
+    mandel_q,
     oscillator_lindblad,
     recurrence_stationary,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# The shipped configs and the benchmark's inputs, by file name.
+SHIPPED = {
+    path.name: path
+    for path in sorted(CONFIG_DIR.glob("*.json")) + sorted((CONFIG_DIR.parent / "perfbench" / "configs").glob("*.json"))
+}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -85,10 +92,9 @@ def test_validate_accepts_good_config(tmp_path, capsys):
 
 
 def test_shipped_configs_validate():
-    shipped = sorted(CONFIG_DIR.glob("*.json"))
-    assert len(shipped) >= 5
-    for path in shipped:
-        assert main(["validate", str(path)]) == 0, path.name
+    assert len(SHIPPED) >= 7
+    for name, path in SHIPPED.items():
+        assert main(["validate", str(path)]) == 0, name
 
 
 def test_validate_names_missing_key(tmp_path, capsys):
@@ -287,6 +293,9 @@ def oscillator_with(key, value):
     (limit_cycle_config(sweep={"params.mu": [1.0, 0.0]}), "params.mu=0.0"),
     (limit_cycle_with("params", "lambda", 0.0), "params.lambda must be positive"),
     (limit_cycle_config(sweep={"params.lambda": [0.0, 0.5]}), "params.lambda=0.0"),
+    (limit_cycle_config(params={"omega": 1.0, "lambda": 150.0, "mu": 1.0}, numerics={"dim": 30, "n_max": 400}),
+     "nu = lambda / mu 150.0 exceeds the series limit 100 of mean_n"),
+    (limit_cycle_config(sweep={"params.lambda": [1.0, 250.0]}), "params.lambda=250.0: nu = lambda / mu 250.0"),
     (limit_cycle_with("numerics", "dim", LIMIT_CYCLE_DIM_MIN - 1), "numerics.dim"),
     (limit_cycle_config(sweep={"numerics.dim": [12, LIMIT_CYCLE_DIM_MIN - 1]}), "numerics.dim[1]"),
     (limit_cycle_with("numerics", "n_max", RECURRENCE_N_MAX_MIN - 1), "numerics.n_max"),
@@ -310,7 +319,8 @@ def oscillator_with(key, value):
         "sweep-nan", "zero-step", "negative-t-end", "nan-initial", "bool-initial",
         "rotators-half-spin", "rotators-fractional-2l", "rotators-negative-lambda",
         "rotators-above-limit", "conformance-half-spin", "limit-cycle-zero-mu", "sweep-zero-mu",
-        "limit-cycle-zero-lambda", "sweep-zero-lambda",
+        "limit-cycle-zero-lambda", "sweep-zero-lambda", "limit-cycle-nu-above-series-limit",
+        "sweep-nu-above-series-limit",
         "limit-cycle-dim-below-min", "sweep-limit-cycle-dim-below-min", "n-max-below-min",
         "oscillator-dim-below-min", "zero-faq-points", "sweep-zero-faq-points", "negative-null-tol",
         "sweep-null-tol-one", "zero-pos-tol", "sweep-negative-pos-tol", "negative-faq-tol",
@@ -347,6 +357,14 @@ def test_rotators_limit_is_the_exact_solve_limit():
     assert validate_config(rotators_config(l=EXACT_SPIN_L_MAX)) == []
 
 
+def test_limit_cycle_nu_limit_is_the_series_limit():
+    nu = KUMMER_X_MAX / 2
+    assert validate_config(limit_cycle_with("params", "lambda", nu)) == []
+    assert mandel_q(nu) > 0
+    with pytest.raises(ValueError, match="series regime"):
+        mandel_q(nu * (1 + 1e-9))
+
+
 def test_numerics_limits_are_the_builder_limits():
     assert validate_config(limit_cycle_with("numerics", "dim", LIMIT_CYCLE_DIM_MIN)) == []
     assert validate_config(limit_cycle_with("numerics", "n_max", RECURRENCE_N_MAX_MIN)) == []
@@ -378,8 +396,9 @@ def test_resolve_casts_sweep_values():
     assert json.dumps(resolved["sweep"], sort_keys=True) == '{"numerics.dim": [12], "params.lambda": [0.5, 1.0]}'
 
 
-# The run-directory hash of every shipped config; a change to how configs are
-# resolved must leave each one as it is.
+# The run-directory hash of every shipped config and benchmark input; a
+# change to how configs are resolved, or to a library default they resolve
+# to, must leave each one as it is.
 SHIPPED_HASHES = {
     "classical_flow.json": "fa77a73a9fe0",
     "conformance.json": "28173589e9b7",
@@ -387,12 +406,14 @@ SHIPPED_HASHES = {
     "limit_cycle_sweep.json": "0ce377e9638e",
     "oscillator.json": "83ed63ff4129",
     "rotators.json": "0c891b1b3006",
+    "limit_cycle_d40.json": "00bcc931627a",
+    "oscillator_d80.json": "9740d34bbc86",
 }
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+@pytest.mark.parametrize("name", sorted(SHIPPED))
 def test_shipped_config_hash(name):
-    assert _config_hash(resolve_config(json.loads((CONFIG_DIR / name).read_text()))) == SHIPPED_HASHES[name]
+    assert _config_hash(resolve_config(json.loads(SHIPPED[name].read_text()))) == SHIPPED_HASHES[name]
 
 
 def test_unreadable_config(tmp_path, capsys):
@@ -535,6 +556,20 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, config)
     assert main(["run", str(path), "--output-dir", str(tmp_path / "runs")]) == 2
     assert "n_max" in capsys.readouterr().err
+
+
+def test_positivity_loss_exit_code(tmp_path, capsys):
+    """validate.pos_tol bounds every sampled state, so an eigenvalue below
+    it is a numerical failure naming the eigenvalue, not a config error."""
+    config = json.loads((CONFIG_DIR / "oscillator.json").read_text())
+    config["numerics"]["validate.pos_tol"] = 1e-30
+    path = write_config(tmp_path, config)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: eigenvalue -") and "pos_tol 1.0e-30" in err
+    assert "config error" not in err and "Traceback" not in err
 
 
 def test_overflowing_weight_exit_code(tmp_path, capsys):

@@ -363,17 +363,29 @@ def test_evolution_tracks_classical_oscillator():
 
 
 def test_evolve_aborts_on_instability():
-    """The two aborts: an eigenvalue below -pos_abort_tol at a sample, here
-    that of a valid rho0 (DensityMatrix admits -1e-8), and a generator whose
+    """The two aborts: an eigenvalue below -pos_tol at a sample, here that
+    of a valid rho0 (DensityMatrix admits -1e-8), and a generator whose
     entries overflow."""
     weights = np.zeros(10)
     weights[0], weights[-1] = 1.0 + 5e-9, -5e-9
     with pytest.raises(PositivityViolation, match="eigenvalue -5"):
-        evolve(decay_model(10), DensityMatrix(OperatorMatrix(np.diag(weights))), 1.0, 0.1, pos_abort_tol=1e-9)
+        evolve(decay_model(10), DensityMatrix(OperatorMatrix(np.diag(weights))), 1.0, 0.1, pos_tol=1e-9)
     with np.errstate(over="ignore", invalid="ignore"):
         overflowing = LindbladModel(OperatorMatrix(np.zeros((10, 10))), (annihilation(10) * 1e160,))
         with pytest.raises(PositivityViolation, match="non-finite"):
             evolve(overflowing, DensityMatrix.fock_state(10, 9), 1.0, 0.1)
+
+
+def test_evolve_holds_every_sample_to_pos_tol():
+    """One tolerance bounds every sample.  A Fock state has exact
+    eigenvalues, so t = 0 passes a pos_tol of 1e-30; the rounding of the
+    first interval then lies below -1e-30, and evolve raises
+    PositivityViolation there, never the ValueError of a final check."""
+    model = oscillator_lindblad(OscillatorParams(1.0, 0.1), 12)
+    with pytest.raises(PositivityViolation, match=r"eigenvalue -\S+ at t=0.01:") as caught:
+        evolve(model, DensityMatrix.fock_state(12, 1), 2.0, 0.01, pos_tol=1e-30)
+    assert "pos_tol 1.0e-30" in str(caught.value)
+    assert evolve(model, DensityMatrix.fock_state(12, 1), 2.0, 0.01).min_eigenvalue < 0.0
 
 
 def test_evolve_validates_input():

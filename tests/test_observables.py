@@ -117,8 +117,9 @@ def test_contraction_is_sum_of_mixed_partials():
 def test_partial_bad_mode_raises():
     with pytest.raises(ValueError):
         z().partial(1, "z")
-    with pytest.raises(ValueError):
-        z().partial(0, "bogus")
+    for wrt in ("bogus", "z*", "conj"):
+        with pytest.raises(ValueError):
+            z().partial(0, wrt)
 
 
 # -- evaluation ---------------------------------------------------------------
