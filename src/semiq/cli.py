@@ -43,6 +43,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -667,7 +668,8 @@ def run_config(config: dict, output_dir: str | None = None, seed: int | None = N
     """Resolve, run, and write artifacts; returns the run directory.
 
     A sweep runs its grid points on min(jobs, grid points, cpu count)
-    worker processes.
+    worker processes.  A run that raises removes the run directory if this
+    call created it, and leaves one that existed before.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -680,16 +682,20 @@ def run_config(config: dict, output_dir: str | None = None, seed: int | None = N
     resolved = resolve_config(config)
     run_hash = _config_hash(resolved)
     out_dir = Path(resolved["output_dir"]) / f"{resolved['experiment']}-{run_hash}"
+    created = not out_dir.is_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if resolved["sweep"]:
-        summary = _run_sweep(resolved, out_dir, jobs)
-    else:
-        summary = _EXPERIMENTS[resolved["experiment"]].run(resolved, out_dir)
-
-    summary_payload = {"experiment": resolved["experiment"], "seed": resolved["seed"], **summary}
-    _write_json(out_dir / "summary.json", summary_payload)
-    _write_json(out_dir / "manifest.json", {"config": resolved, "hash": run_hash, "seed": resolved["seed"]})
+    try:
+        if resolved["sweep"]:
+            summary = _run_sweep(resolved, out_dir, jobs)
+        else:
+            summary = _EXPERIMENTS[resolved["experiment"]].run(resolved, out_dir)
+        summary_payload = {"experiment": resolved["experiment"], "seed": resolved["seed"], **summary}
+        _write_json(out_dir / "summary.json", summary_payload)
+        _write_json(out_dir / "manifest.json", {"config": resolved, "hash": run_hash, "seed": resolved["seed"]})
+    except BaseException:
+        if created:
+            shutil.rmtree(out_dir, ignore_errors=True)
+        raise
     return out_dir
 
 

@@ -134,6 +134,14 @@ class DensityMatrix:
     __slots__ = ("op",)
 
     def __init__(self, op: OperatorMatrix, pos_tol: float = POSITIVITY_TOL):
+        self._hold(op)
+        mat = self.op.mat
+        min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
+        if min_eig < -pos_tol:
+            raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
+
+    def _hold(self, op: OperatorMatrix):
+        """Check Hermiticity and unit trace, then hold op."""
         if not isinstance(op, OperatorMatrix):
             op = OperatorMatrix(op)
         mat = op.mat
@@ -143,10 +151,16 @@ class DensityMatrix:
         trace_dev = abs(np.trace(mat) - 1.0)
         if trace_dev > TRACE_TOL:
             raise ValueError(f"density matrix trace differs from 1 by {trace_dev:.3e}")
-        min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
-        if min_eig < -pos_tol:
-            raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
         self.op = op
+
+    @classmethod
+    def _spectrum_checked(cls, op: OperatorMatrix) -> "DensityMatrix":
+        """A density matrix whose eigenvalues the caller has just checked
+        (evolve's last sample, stationary's candidate): Hermiticity and
+        trace are checked, and no second eigvalsh runs."""
+        out = cls.__new__(cls)
+        out._hold(op)
+        return out
 
     @property
     def mat(self) -> np.ndarray:
@@ -474,7 +488,7 @@ def evolve(
         times.append(step * dt)
         record(step * dt, rho)
 
-    final = DensityMatrix(OperatorMatrix(rho, rho0.basis), pos_tol=pos_tol)
+    final = DensityMatrix._spectrum_checked(OperatorMatrix(rho, rho0.basis))  # record checked it
     return EvolveResult(
         final=final,
         times=np.array(times),
@@ -672,7 +686,7 @@ def stationary(model: LindbladModel, null_tol: float = NULL_TOL, pos_tol: float 
         raise NumericalFailure(
             f"stationary state has eigenvalue {min_eig:.3e}: rounding beyond pos_tol {pos_tol:.1e} or a broken model"
         )
-    return DensityMatrix(OperatorMatrix(candidate, model.h.basis), pos_tol=pos_tol)
+    return DensityMatrix._spectrum_checked(OperatorMatrix(candidate, model.h.basis))
 
 
 def expectation(rho: DensityMatrix | OperatorMatrix, observable: OperatorMatrix) -> complex:

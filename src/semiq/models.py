@@ -780,12 +780,7 @@ def _random_density(rng: np.random.Generator, dim: int) -> OperatorMatrix:
     return OperatorMatrix(rho / np.trace(rho).real)
 
 
-def moment_equations_conformance(
-    params: RotatorParams,
-    n_samples: int = 50,
-    seed: int = 7,
-    tol: float = 1e-10,
-) -> ConformanceReport:
+def moment_equations_conformance(params: RotatorParams, n_samples: int, seed: int, tol: float) -> ConformanceReport:
     """Check the closed-form moment-hierarchy rates against the generator.
 
     For each first and second order moment equation of the rotator model,

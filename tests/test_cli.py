@@ -7,6 +7,7 @@ import pytest
 
 from semiq import cli
 from semiq.cli import _config_hash, main, resolve_config, validate_config
+from semiq.errors import NumericalFailure
 from semiq.faq import FaqSystem
 from semiq.models import (
     EXACT_SPIN_L_MAX,
@@ -570,6 +571,22 @@ def test_positivity_loss_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: eigenvalue -") and "pos_tol 1.0e-30" in err
     assert "config error" not in err and "Traceback" not in err
+    assert list((tmp_path / "runs").iterdir()) == []  # the failed run leaves no directory
+
+
+def test_failed_run_keeps_a_directory_it_did_not_create(tmp_path):
+    """A run directory that existed before the call stays, with its files,
+    when the run fails."""
+    config = json.loads((CONFIG_DIR / "oscillator.json").read_text())
+    config["numerics"]["validate.pos_tol"] = 1e-30
+    config["output_dir"] = str(tmp_path / "runs")
+    resolved = resolve_config(config)
+    existing = tmp_path / "runs" / f"oscillator-{_config_hash(resolved)}"
+    existing.mkdir(parents=True)
+    (existing / "notes.txt").write_text("kept")
+    with pytest.raises(NumericalFailure):
+        cli.run_config(config)
+    assert [path.name for path in existing.iterdir()] == ["notes.txt"]
 
 
 def test_overflowing_weight_exit_code(tmp_path, capsys):

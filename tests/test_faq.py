@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from semiq import (
     sample_phase_points,
     verify_faq,
 )
+from semiq.integrate import rk4_path
+from semiq.observables import _compile, _coordinate_reads
 from semiq.models import (
     LimitCycleParams,
     OscillatorParams,
@@ -223,10 +226,14 @@ def test_flow_rejects_bad_steps():
 
 
 def test_flow_divergence_aborts():
-    # pure gain channel: |z| grows as e^t and eventually overflows
+    """Pure gain (R = z*, dz/dt = z): |z| grows as e^t and overflows near
+    t = 709.8; the exact flow names the time and the step, with no numpy
+    warning."""
     gain = FaqSystem(1, Polynomial.zero(1), (Polynomial.zc(0, 1),))
-    with pytest.raises(FlowDiverged):
-        classical_flow(gain, [1.0], 800.0, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FlowDiverged, match=r"^non-finite state at t=709\.8 \(step 7098\)$"):
+            classical_flow(gain, [1.0], 800.0, 0.1)
 
 
 def test_flow_overflow_in_field_aborts():
@@ -238,6 +245,76 @@ def test_flow_overflow_in_field_aborts():
         classical_flow(blow_up, [1.0], 10.0, 0.01)
     with pytest.raises(FlowDiverged, match=r"^state overflows at t=0\.27 \(step 27\)"):
         ensemble_weights(blow_up, [[1.0]], 10.0, 0.01)
+
+
+# -- exact flow of an affine drift ------------------------------------------------
+
+
+def rk4_reference(system, y0, t_end, dt, record_every, extra=()):
+    """The RK4 path of the drift and the extra polynomials, as _flow takes it
+    for a nonlinear field."""
+    polys = (*system.drift_polynomials, *extra)
+    values = _compile(tuple(poly.terms for poly in polys), _coordinate_reads(system.mode_count))
+    return rk4_path(lambda _t, y: values(y), y0, t_end, dt, record_every=record_every)
+
+
+def oscillator_closed_form(params, z0, times):
+    """dx/dt = omega0 y, dy/dt = -omega0 x - 2 lam y for z = x + i y, at
+    every u: exp(-lam t) (cos(W t) + sin(W t) N / W) with W^2 = omega0^2 -
+    lam^2 and N = [[lam, omega0], [-omega0, -lam]]."""
+    omega, lam = params.omega0, params.lam
+    w = np.sqrt(omega**2 - lam**2)
+    x0, y0 = z0.real, z0.imag
+    cos, sin, decay = np.cos(w * times), np.sin(w * times) / w, np.exp(-lam * times)
+    x = decay * (cos * x0 + sin * (lam * x0 + omega * y0))
+    y = decay * (cos * y0 - sin * (omega * x0 + lam * y0))
+    return x + 1j * y
+
+
+@pytest.mark.parametrize("record_every", [1, 100])
+@pytest.mark.parametrize("u", [0.0, 0.7])
+def test_affine_flow_oscillator_closed_form(u, record_every):
+    """The damped oscillator's drift is linear with divergence -2 lam, so
+    its flow and weights are the closed forms to rounding: 4e-15 over
+    20 000 intervals, where applying a rounded exp(tau A) rather than
+    y + (exp(tau A) - I) y drifted by 2e-13."""
+    params = OscillatorParams(1.0, 0.1, u)
+    system = oscillator_faq(params)
+    z0 = 2.0 + 0.5j
+    [(trajectory, weights)] = ensemble_weights(system, [[z0]], 20.0, 1e-3, record_every=record_every)
+    flow = classical_flow(system, [z0], 20.0, 1e-3, record_every=record_every)
+    exact = oscillator_closed_form(params, z0, trajectory.times)
+    assert len(trajectory) == 20_000 // record_every + 1
+    assert np.array_equal(flow.times, trajectory.times) and np.array_equal(flow.states, trajectory.states)
+    assert np.max(np.abs(trajectory.states[:, 0] - exact)) <= 1e-13
+    assert np.max(np.abs(weights / np.exp(2.0 * params.lam * trajectory.times) - 1.0)) <= 1e-13
+
+
+def test_affine_flow_two_modes_matches_rk4():
+    """Two modes whose drift mixes z_1, z*_2 and a constant drive, against
+    RK4 at dt = 1e-4: the generator's layout over (x_1, y_1, x_2, y_2, 1)."""
+    z1, z1c, z2, z2c = (Polynomial.z(0, 2), Polynomial.zc(0, 2), Polynomial.z(1, 2), Polynomial.zc(1, 2))
+    hamiltonian = 1.3 * z1 * z1c + 0.7 * z2 * z2c + 0.4 * (z1 * z2c + z1c * z2) + 0.25 * (z1 + z1c)
+    channels = (np.sqrt(0.3) * (np.cosh(0.5) * z1 - np.sinh(0.5) * z2c), np.sqrt(0.2) * z2)
+    system = FaqSystem(2, hamiltonian, channels)
+    assert {sum(key) for poly in system.drift_polynomials for key in poly.terms} == {0, 1}
+    z0 = [0.6 + 0.2j, -0.3 + 0.9j]
+    [(trajectory, weights)] = ensemble_weights(system, [z0], 2.0, 1e-4, record_every=100)
+    times, states = rk4_reference(system, (*z0, 0.0), 2.0, 1e-4, 100, (-system.divergence_polynomial,))
+    assert np.array_equal(trajectory.times, times)
+    assert np.max(np.abs(trajectory.states - states[:, :2])) <= 1e-12
+    assert np.max(np.abs(weights / np.exp(states[:, 2].real) - 1.0)) <= 1e-12
+
+
+def test_affine_flow_grid_matches_rk4_with_short_last_interval():
+    """333 steps recorded every 10: the last interval is 3 steps, and the
+    times are rk4_path's bit for bit."""
+    system = oscillator_faq(OscillatorParams(1.0, 0.3, 0.2))
+    trajectory = classical_flow(system, [1.0 - 0.5j], 1.0, 0.003, record_every=10)
+    times, states = rk4_reference(system, (1.0 - 0.5j,), 1.0, 0.003, 10)
+    assert len(times) == 35 and times[-1] - times[-2] == pytest.approx(0.009)
+    assert np.array_equal(trajectory.times, times)
+    assert np.max(np.abs(trajectory.states - states)) <= 1e-11
 
 
 # -- phase-space divergence --------------------------------------------------------

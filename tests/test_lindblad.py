@@ -388,6 +388,30 @@ def test_evolve_holds_every_sample_to_pos_tol():
     assert evolve(model, DensityMatrix.fock_state(12, 1), 2.0, 0.01).min_eigenvalue < 0.0
 
 
+def counting_eigvalsh(monkeypatch) -> list:
+    """Replace np.linalg.eigvalsh with a wrapper that records each call."""
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append(mat.shape) or eigvalsh(mat))
+    return calls
+
+
+def test_final_state_is_not_checked_twice(monkeypatch):
+    """evolve's last sample and stationary's candidate have had their
+    eigenvalues checked at pos_tol; the returned DensityMatrix checks trace
+    and Hermiticity but takes no second eigendecomposition: k + 1 eigvalsh
+    calls for k samples after t = 0, one for stationary."""
+    model = oscillator_lindblad(OscillatorParams(1.0, 0.1), 10)
+    rho0 = DensityMatrix.coherent_state(10, 1.0)
+    calls = counting_eigvalsh(monkeypatch)
+    result = evolve(model, rho0, 1.1, 0.1, sample_every=2)
+    assert len(result.times) - 1 == 6  # at steps 2, 4, ..., 10 and 11
+    assert len(calls) == 7
+    calls.clear()
+    stationary(limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), 12))
+    assert len(calls) == 1
+
+
 def test_evolve_validates_input():
     with pytest.raises(ValueError):
         evolve(decay_model(4), DensityMatrix.fock_state(4, 0), 1.0, -0.1)
