@@ -57,6 +57,7 @@ from . import models
 from ._csv import write_csv
 from .errors import NumericalFailure
 from .faq import ensemble_weights, export_trajectory_csv, sample_phase_points, verify_faq
+from .integrate import _default_sample_every
 from .lindblad import NULL_TOL, POSITIVITY_TOL, DensityMatrix, evolve, stationary
 from .observables import PhasePoint
 from .quantize import FockSpace, annihilation, export_operator_csv, number
@@ -438,21 +439,15 @@ def _run_oscillator(resolved: dict, out_dir: Path | None) -> dict:
     model = models.quantized_lindblad(system, FockSpace((dim,)))
     rho0 = DensityMatrix.coherent_state(dim, alpha)
     a_op = annihilation(dim)
-    sample_every = n["sample_every"] or None
+    sample_every = n["sample_every"] or _default_sample_every(t_end, dt)
     result = evolve(
         model, rho0, t_end, dt,
         observables={"a": a_op, "n": number(dim)},
         sample_every=sample_every,
         pos_tol=n["validate.pos_tol"],
     )
-    steps_per_sample = int(round((result.times[1] - result.times[0]) / dt)) if len(result.times) > 1 else 1
-    [(trajectory, weights)] = ensemble_weights(
-        system, [PhasePoint([alpha])], t_end, dt, record_every=steps_per_sample
-    )
-    n_common = min(len(trajectory.times), len(result.times))
-    ehrenfest = float(np.max(np.abs(
-        result.expectations["a"][:n_common] - trajectory.states[:n_common, 0]
-    )))
+    [(trajectory, weights)] = ensemble_weights(system, [PhasePoint([alpha])], t_end, dt, record_every=sample_every)
+    ehrenfest = float(np.max(np.abs(result.expectations["a"] - trajectory.states[:, 0])))
     summary.update({
         "ehrenfest_max_error": ehrenfest,
         "mean_n_final": float(result.expectations["n"][-1].real),
@@ -479,12 +474,12 @@ def _run_limit_cycle(resolved: dict, out_dir: Path | None) -> dict:
     state = stationary(model, null_tol=n["stationary.null_tol"], pos_tol=n["validate.pos_tol"])
     diag = np.diag(state.mat).real
     off = state.mat - np.diag(np.diag(state.mat))
-    n_common = min(dim, len(distribution))
+    shared = min(dim, len(distribution))
     summary.update({
         "nu": params.nu,
         "mean_n": models.mean_n(params.nu),
         "mandel_q": models.mandel_q(params.nu),
-        "diag_max_error": float(np.max(np.abs(diag[:n_common] - distribution[:n_common]))),
+        "diag_max_error": float(np.max(np.abs(diag[:shared] - distribution[:shared]))),
         "offdiag_max": float(np.max(np.abs(off))),
         "recurrence_tail": float(distribution[-1]),
     })

@@ -15,24 +15,25 @@ phase-space density.
 The FAQ decomposition is always taken as input; no attempt is made to
 discover H and R from a raw vector field.
 
-A system builds its polynomials once: the per-mode drift when it is made,
-and the divergence of the drift, itself a real polynomial, on first use.
-Every numeric value comes from the generated code of observables.  drift
-and phase_divergence evaluate on Python-scalar columns, and the FAQ check
-evaluates once over the columns of all its sample points.  The two flows
-share one body, _flow, over the drift for classical_flow and the drift and
-the negated divergence for ensemble_weights.  A nonlinear drift is one
-generated function of those polynomials that reads the coordinates from
-the RK4 state, a tuple of Python scalars (see integrate).  A drift of
+A system checks that H is real from its term map, and builds its
+polynomials once, on first use: the per-mode drift, and the divergence of
+the drift, itself a real polynomial.  Every numeric value comes from the
+generated code of observables.  drift and phase_divergence evaluate on
+Python-scalar columns, and the FAQ check evaluates once over the columns
+of all its sample points.  The two flows share one body, _flow, over the
+drift for classical_flow and the drift and the negated divergence for
+ensemble_weights, and record on the grid of integrate.  A nonlinear drift
+is one generated function of those polynomials that reads the coordinates
+from the RK4 state, a tuple of Python scalars (see integrate).  A drift of
 degree at most 1, such as the damped oscillator's, has a constant
-divergence and an exact flow: _flow builds its real affine generator over
-(Re z_a, Im z_a, 1) from the term maps and applies exp(tau A) once per
-record interval (integrate._linear_path), on the same time grid, with the
-log weight -div t.  The shipped oscillator (20 000 steps of 1e-3, recorded
-every 100) so takes 200 products of 3x3 matrices instead of 20 000 RK4
-steps, and lies 2.2e-15 from the closed form, where RK4 lay 7.1e-14.  A
-phase point is a PhasePoint or a sequence of mode_count complex
-coordinates, such as a row of the array that sample_phase_points returns.
+divergence and an exact flow: _flow builds its real affine generator A
+over (Re z_a, Im z_a, 1) from the term maps and sets y <- y + (exp(tau A)
+- I) y once per record interval (integrate._linear_path), with the log
+weight -div t.  The shipped oscillator (20 000 steps of 1e-3, recorded
+every 100) so takes 200 products of 3x3 matrices, and lies 2.2e-15 from
+the closed form.  A phase point is a PhasePoint or a sequence of
+mode_count complex coordinates, such as a row of the array that
+sample_phase_points returns.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ __all__ = [
 ]
 
 _REALITY_TOL = 1e-12
-_REALITY_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,18 @@ class FaqSystem:
         for j, channel in enumerate(channels):
             if channel.mode_count != self.mode_count:
                 raise ValueError(f"channel {j} mode_count does not match system")
-        samples = sample_phase_points(self.mode_count, _REALITY_SAMPLES, radius=1.0, seed=20260127)
-        worst = float(np.max(np.abs(np.imag(self.hamiltonian._evaluate_coords(_columns(samples.T))))))
+        # H is real when each coefficient equals that of its structural conjugate
+        terms, conjugate = self.hamiltonian.terms, self.hamiltonian.conjugate().terms
+        deviations = [abs(terms.get(key, 0) - conjugate.get(key, 0)) for key in terms.keys() | conjugate.keys()]
+        worst = max(deviations, default=0.0)
         if worst > _REALITY_TOL:
             raise ValueError(
-                f"hamiltonian is not a real observable: |Im H| = {worst:.3e} at a sample point"
+                f"hamiltonian is not a real observable: a coefficient differs from its conjugate's by {worst:.3e}"
             )
-        object.__setattr__(self, "_drift_polys", self._build_drift_polys())
 
-    def _build_drift_polys(self) -> tuple[Polynomial, ...]:
+    @cached_property
+    def drift_polynomials(self) -> tuple[Polynomial, ...]:
+        """The per-mode drift as exact polynomials in (z, z*); built on first use."""
         polys = []
         conjugates = [channel.conjugate() for channel in self.channels]
         for mode in range(self.mode_count):
@@ -99,11 +102,6 @@ class FaqSystem:
                 poly = poly - channel * conj.partial(mode, "zc")
             polys.append(poly)
         return tuple(polys)
-
-    @property
-    def drift_polynomials(self) -> tuple[Polynomial, ...]:
-        """The per-mode drift as exact polynomials in (z, z*)."""
-        return self._drift_polys
 
     @cached_property
     def divergence_polynomial(self) -> Polynomial:

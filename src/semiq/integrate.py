@@ -35,14 +35,17 @@ y + E y and 7.7e-15 for RK4.
 
 The time grid is round(t_end / dt) steps of dt: dt <= 0, t_end < 0 and a
 non-finite t_end, dt or step count are rejected with ValueError.  Both
-paths record every `record_every` steps and at the last step, at the times
-step * dt.
+paths here and lindblad.evolve record at t = 0 and after every k steps and
+the last, at the times step * dt (_record_grid); k is a whole number of at
+least 1, or a ValueError names its parameter.  evolve's default k is
+max(1, n_steps // 200), about 200 samples a run (_default_sample_every).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -107,21 +110,35 @@ def _step_count(t_end: float, dt: float) -> int:
     return int(round(ratio))
 
 
+def _record_grid(t_end: float, dt: float, every, name: str) -> tuple[list[int], np.ndarray]:
+    """The record grid of a path (see the module notes): the steps after
+    which it records, every `every` steps and the last, and the times of
+    its records, 0 and then step * dt.  `name` is the parameter that gave
+    `every`, for the error."""
+    if not (isinstance(every, numbers.Real) and math.isfinite(every) and every >= 1 and every == int(every)):
+        raise ValueError(f"{name} must be a whole number of at least 1, got {every!r}")
+    n_steps = _step_count(t_end, dt)
+    steps = [*range(int(every), n_steps, int(every)), n_steps] if n_steps else []
+    return steps, dt * np.array([0, *steps], dtype=float)
+
+
+def _default_sample_every(t_end: float, dt: float) -> int:
+    """evolve's sample interval when none is given: about 200 samples a run."""
+    return max(1, _step_count(t_end, dt) // 200)
+
+
 def rk4_path(field, y0, t_end: float, dt: float, record_every: int = 1):
     """Integrate dy/dt = field(t, y) from 0 to (approximately) t_end.
 
     y0 is a tuple of Python scalars, with a field returning a tuple of its
     width, or an array, with a field returning an array (see the module
-    notes).  The time grid follows _step_count.  Returns (times, states)
-    with states stacked along axis 0 as an array, recorded every
-    `record_every` steps plus the final state.  Raises FlowDiverged as soon
+    notes).  Returns (times, states) on the record grid, with states
+    stacked along axis 0 as an array.  Raises FlowDiverged as soon
     as a non-finite state appears, or as soon as the field raises
     OverflowError: Python's `**` raises it on a float or complex result
     past the float range, where numpy and the other operators give inf.
     """
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, got {record_every}")
-    n_steps = _step_count(t_end, dt)
+    steps, times = _record_grid(t_end, dt, record_every, "record_every")
     scalar = isinstance(y0, tuple)
     if scalar:
         advance, finite = _rk4(len(y0))
@@ -136,19 +153,17 @@ def rk4_path(field, y0, t_end: float, dt: float, record_every: int = 1):
         def finite(y):
             return np.all(np.isfinite(y[0]))
 
-    times = [0.0]
     states = [y]  # every step makes a new state, so none is copied
-    for step in range(1, n_steps + 1):
-        try:
-            y = advance(stage_field, (step - 1) * dt, y, dt)
-        except OverflowError as exc:
-            raise FlowDiverged(f"state overflows at t={step * dt:.6g} (step {step}): {exc}") from exc
-        if not finite(y):
-            raise FlowDiverged(f"non-finite state at t={step * dt:.6g} (step {step})")
-        if step % record_every == 0 or step == n_steps:
-            times.append(step * dt)
-            states.append(y)
-    return np.array(times), np.array(states if scalar else [y for (y,) in states])
+    for start, stop in zip((0, *steps), steps):
+        for step in range(start + 1, stop + 1):
+            try:
+                y = advance(stage_field, (step - 1) * dt, y, dt)
+            except OverflowError as exc:
+                raise FlowDiverged(f"state overflows at t={step * dt:.6g} (step {step}): {exc}") from exc
+            if not finite(y):
+                raise FlowDiverged(f"non-finite state at t={step * dt:.6g} (step {step})")
+        states.append(y)
+    return times, np.array(states if scalar else [y for (y,) in states])
 
 
 def _expm1(a: np.ndarray) -> np.ndarray:
@@ -172,27 +187,21 @@ def _linear_path(generator: np.ndarray, y0: np.ndarray, t_end: float, dt: float,
 
     generator is a constant real square matrix and y0 a real vector;
     returns (times, states) as rk4_path does.  exp(k dt generator) - I is
-    computed once per interval length of k steps (record_every, and the
-    shorter last interval) and applied once per record interval (see the
-    module notes).  A non-finite state raises FlowDiverged, naming the time
-    and the step of the record that first holds one.
+    computed once per interval length of k steps and applied once per
+    record interval (see the module notes).  A non-finite state raises
+    FlowDiverged, naming the time and the step of the record that first
+    holds one.
     """
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, got {record_every}")
-    n_steps = _step_count(t_end, dt)
+    steps, times = _record_grid(t_end, dt, record_every, "record_every")
     flows = {}  # interval length in steps -> exp of the generator over it, minus I
-    times = [0.0]
     states = [y0]
-    y, step = y0, 0
+    y = y0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is raised below
-        while step < n_steps:
-            steps = min(record_every, n_steps - step)
-            if steps not in flows:
-                flows[steps] = _expm1((steps * dt) * generator)
-            y = y + flows[steps] @ y
-            step += steps
+        for start, stop in zip((0, *steps), steps):
+            if stop - start not in flows:
+                flows[stop - start] = _expm1(((stop - start) * dt) * generator)
+            y = y + flows[stop - start] @ y
             if not np.all(np.isfinite(y)):
-                raise FlowDiverged(f"non-finite state at t={step * dt:.6g} (step {step})")
-            times.append(step * dt)
+                raise FlowDiverged(f"non-finite state at t={stop * dt:.6g} (step {stop})")
             states.append(y)
-    return np.array(times), np.array(states)
+    return times, np.array(states)

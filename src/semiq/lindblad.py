@@ -61,12 +61,10 @@ also Moler and Van Loan, SIAM Rev. 45, 3 (2003)).
 The views each term reads and writes are built once per call, and the
 scaled weights once per degree a run uses.  The shipped oscillator
 (d = 40, tau = 0.1, tau ||L||_1 = 4.15) takes one substep of 16-17 passes a
-sample, where 100 RK4 steps of 1e-3 took 400 stencil passes; its samples
-agree with scipy's expm of the generator to 5e-15.  Sampled every 2 steps
-of 1e-3, the d = 40 and d = 80 oscillators take 8 passes a sample, as two
-RK4 steps did, at the same cost a pass.  Sampled every step, they take 7
-passes a sample, where one RK4 step took 4: a short interval costs more
-than a step that keeps only RK4's accuracy.
+sample, and its samples agree with scipy's expm of the generator to 5e-15.
+Sampled every 2 steps of 1e-3, the d = 40 and d = 80 oscillators take 8
+passes a sample, and sampled every step 7: a short interval costs more
+passes per unit of time than a long one.
 
 Stationary states are solved per sector of the vectorized generator, one
 block per mirror pair.  The generator maps rho+ to L(rho)+, so the
@@ -102,7 +100,7 @@ import numpy as np
 
 from ._blas import blas_threads
 from .errors import DegenerateStationaryState, NumericalFailure, PositivityViolation, SeriesDivergence
-from .integrate import _step_count
+from .integrate import _default_sample_every, _record_grid
 from .quantize import FockSpace, OperatorMatrix
 
 __all__ = [
@@ -360,28 +358,24 @@ def evolve(
     sample_every: int | None = None,
     pos_tol: float = POSITIVITY_TOL,
 ) -> EvolveResult:
-    """The master equation from rho0, sampled on the grid of _step_count:
-    rho at each sample is exp(tau L) applied to the one before, tau =
-    sample_every dt, as a Taylor series in substeps (see the module notes).
-
-    Expectations of the named observables are sampled every `sample_every`
-    steps of dt (default: about 200 samples per run; at least 1), and at
-    the last step.  Trace, Hermiticity, positivity and the top-level
-    population (EvolveResult) are monitored at every sample, t = 0 and the
-    last included; an eigenvalue below -pos_tol raises PositivityViolation.
+    """The master equation from rho0, sampled every `sample_every` steps of
+    dt on the record grid of integrate (default interval there): rho at each
+    sample is exp(tau L) applied to the one before, as a Taylor series in
+    substeps (see the module notes).  Expectations of the named observables
+    are taken, and trace, Hermiticity, positivity and the top-level
+    population (EvolveResult) monitored, at every sample, t = 0 and the last
+    included; an eigenvalue below -pos_tol raises PositivityViolation.
     The truncated generator keeps Lindblad form, so its exact flow keeps rho
     positive: such an eigenvalue is rounding beyond pos_tol or a broken
     model, and a Fock cut too small shows in top_level_population instead.
     A non-finite generator raises PositivityViolation, and a substep whose
     series does not converge within its degree cap raises SeriesDivergence.
     """
-    n_steps = _step_count(t_end, dt)
+    if sample_every is None:
+        sample_every = _default_sample_every(t_end, dt)
+    steps, times = _record_grid(t_end, dt, sample_every, "sample_every")
     if rho0.dim != model.dim:
         raise ValueError("initial state dimension does not match model")
-    if sample_every is None:
-        sample_every = max(1, n_steps // 200)
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be at least 1, got {sample_every!r}")
     basis = rho0.basis if model.h.basis is None else model.h.basis
     if isinstance(basis, FockSpace):  # the states with some mode at its top level
         levels = np.indices(basis.mode_dims).reshape(basis.n_modes, -1).T
@@ -418,16 +412,15 @@ def evolve(
     zeroed = [part for part in (m_flat[:a], m_flat[b:]) if part.size]
     plans = {}  # interval length in steps -> (substeps, degree cap, weights per degree)
 
-    def plan(steps: int) -> tuple:
-        if steps not in plans:
-            beta = steps * dt * model._norm
+    def plan(length: int) -> tuple:
+        if length not in plans:
+            beta = length * dt * model._norm
             if not math.isfinite(beta):
                 raise PositivityViolation(f"non-finite generator: 1-norm bound {model._norm:.3e}")
             substeps = max(1, math.ceil(beta / SUBSTEP_NORM))
-            plans[steps] = (substeps, _degree_cap(beta / substeps, d), steps * dt / substeps, [])
-        return plans[steps]
+            plans[length] = (substeps, _degree_cap(beta / substeps, d), length * dt / substeps, [])
+        return plans[length]
 
-    times = [0.0]
     samples: dict[str, list[complex]] = {name: [] for name in observables}
     max_trace_dev = 0.0
     max_herm_dev = 0.0
@@ -453,10 +446,8 @@ def evolve(
 
     record(0.0, rho)
 
-    step = 0
-    while step < n_steps:
-        steps = min(sample_every, n_steps - step)
-        substeps, cap, h, weights = plan(steps)
+    for start, stop in zip((0, *steps), steps):
+        substeps, cap, h, weights = plan(stop - start)
         for _ in range(substeps):
             np.copyto(term, rho)
             limit = UNIT_ROUNDOFF**2 * np.vdot(rho, rho).real
@@ -481,17 +472,15 @@ def evolve(
                 previous = size
             else:
                 raise SeriesDivergence(
-                    f"Taylor series of exp(hL) not converged in {cap} terms at t={step * dt:.6g}"
+                    f"Taylor series of exp(hL) not converged in {cap} terms at t={start * dt:.6g}"
                 )
             passes += k
-        step += steps
-        times.append(step * dt)
-        record(step * dt, rho)
+        record(stop * dt, rho)
 
     final = DensityMatrix._spectrum_checked(OperatorMatrix(rho, rho0.basis))  # record checked it
     return EvolveResult(
         final=final,
-        times=np.array(times),
+        times=times,
         expectations={name: np.array(values) for name, values in samples.items()},
         max_trace_deviation=float(max_trace_dev),
         max_hermiticity_deviation=float(max_herm_dev),

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import divergence_by_partials, evaluate_by_terms, verify_faq_by_point
 from semiq import (
+    DensityMatrix,
     FaqSystem,
     FlowDiverged,
     PhasePoint,
@@ -13,6 +14,7 @@ from semiq import (
     classical_flow,
     drift,
     ensemble_weights,
+    evolve,
     export_trajectory_csv,
     phase_divergence,
     sample_phase_points,
@@ -28,6 +30,7 @@ from semiq.models import (
     limit_cycle_field,
     oscillator_faq,
     oscillator_field,
+    oscillator_lindblad,
     rotator_faq,
     rotator_field,
 )
@@ -223,6 +226,12 @@ def test_flow_rejects_bad_steps():
         classical_flow(system, [1.0], -1.0, 0.1)
     with pytest.raises(ValueError, match="record_every"):
         classical_flow(system, [1.0], 1.0, 0.1, record_every=0)
+    # an interval is a whole number of steps on both paths: the exact flow
+    # of hamiltonian_only and the RK4 steps of the limit cycle
+    for flow_system in (system, limit_cycle_faq(LimitCycleParams(1.0, 0.5, 0.5))):
+        for every in (2.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="record_every"):
+                classical_flow(flow_system, [1.0], 1.0, 0.1, record_every=every)
 
 
 def test_flow_divergence_aborts():
@@ -308,13 +317,22 @@ def test_affine_flow_two_modes_matches_rk4():
 
 def test_affine_flow_grid_matches_rk4_with_short_last_interval():
     """333 steps recorded every 10: the last interval is 3 steps, and the
-    times are rk4_path's bit for bit."""
-    system = oscillator_faq(OscillatorParams(1.0, 0.3, 0.2))
+    times are rk4_path's bit for bit, and evolve's on the quantized model.
+    So are they for an interval longer than the run and for t_end = 0."""
+    params = OscillatorParams(1.0, 0.3, 0.2)
+    system = oscillator_faq(params)
+    model = oscillator_lindblad(params, 6)
+    rho0 = DensityMatrix.coherent_state(6, 1.0 - 0.5j)
     trajectory = classical_flow(system, [1.0 - 0.5j], 1.0, 0.003, record_every=10)
     times, states = rk4_reference(system, (1.0 - 0.5j,), 1.0, 0.003, 10)
     assert len(times) == 35 and times[-1] - times[-2] == pytest.approx(0.009)
     assert np.array_equal(trajectory.times, times)
     assert np.max(np.abs(trajectory.states - states)) <= 1e-11
+    for t_end, every, n_records in ((1.0, 10, 35), (1.0, 1000, 2), (0.0, 10, 1)):
+        times = rk4_reference(system, (1.0 - 0.5j,), t_end, 0.003, every)[0]
+        assert len(times) == n_records
+        assert np.array_equal(classical_flow(system, [1.0 - 0.5j], t_end, 0.003, record_every=every).times, times)
+        assert np.array_equal(evolve(model, rho0, t_end, 0.003, sample_every=every).times, times)
 
 
 # -- phase-space divergence --------------------------------------------------------
@@ -415,7 +433,8 @@ def test_weights_beyond_float_range_raise():
 
 def test_channel_partials_built_once(monkeypatch):
     """phase_divergence and ensemble_weights share the partials a system
-    builds on first use: one dR/dz*_a and one dR/dz_a per channel and mode."""
+    builds on first use: one dR/dz*_a and one dR/dz_a per channel and mode
+    for the divergence, once the drift is built."""
     calls = []
     partial = Polynomial.partial
 
@@ -424,6 +443,7 @@ def test_channel_partials_built_once(monkeypatch):
         return partial(self, mode, kind)
 
     system = rotator_faq(RotatorParams(1.0, 0.8, 0.3))
+    system.drift_polynomials
     monkeypatch.setattr(Polynomial, "partial", counting)
     points = sample_phase_points(2, 3, seed=52)
     for point in points:
@@ -453,10 +473,12 @@ def test_weight_rate_sign_tracks_divergence():
 
 
 def test_faq_system_rejects_complex_hamiltonian():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a real observable"):
         FaqSystem(1, 1j * Polynomial.z(0, 1) * Polynomial.zc(0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a real observable"):
         FaqSystem(1, Polynomial.z(0, 1))
+    p = (Polynomial.z(0, 2) + (0.3 - 0.7j) * Polynomial.zc(1, 2)) ** 3 * Polynomial.zc(0, 2)
+    FaqSystem(2, p + p.conjugate())
 
 
 def test_faq_system_rejects_mode_mismatch():

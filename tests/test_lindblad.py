@@ -423,6 +423,9 @@ def test_evolve_validates_input():
         evolve(decay_model(4), DensityMatrix.fock_state(4, 0), 1.0, 0.1, sample_every=0)
     with pytest.raises(ValueError, match="sample_every"):
         evolve(decay_model(4), DensityMatrix.fock_state(4, 0), 1.0, 0.1, sample_every=-3)
+    for every in (2.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sample_every"):
+            evolve(decay_model(4), DensityMatrix.fock_state(4, 0), 1.0, 0.1, sample_every=every)
 
 
 # -- stationary states -----------------------------------------------------------

@@ -14,6 +14,7 @@ from helpers import (
 from semiq import (
     PhasePoint,
     Polynomial,
+    drift,
     format_polynomial,
     observables,
     poisson_bracket,
@@ -307,9 +308,10 @@ def test_generated_spin_function_matches_term_loop_bitwise():
 
 
 def test_polynomials_compile_on_first_evaluation(monkeypatch):
-    """Building, composing and quantizing polynomials generates no code; the
-    first evaluation compiles once, and polynomials of one shape share one
-    code object, as the points of a sweep do."""
+    """Building, composing and quantizing polynomials, and making an
+    FaqSystem of them, generates no code; the first evaluation compiles
+    once, and polynomials of one shape share one code object, as the points
+    of a sweep do."""
     calls = []
     compile_once = observables._compile
     monkeypatch.setattr(observables, "_compile", lambda *args, **kw: calls.append(args) or compile_once(*args, **kw))
@@ -324,6 +326,8 @@ def test_polynomials_compile_on_first_evaluation(monkeypatch):
     assert other.evaluate([0.3]) != poly.evaluate([0.3])
     assert other._function.__code__ is poly._function.__code__
     sweep = [oscillator_faq(OscillatorParams(1.0, lam)).hamiltonian for lam in (0.1, 0.4)]
+    assert [hamiltonian._function for hamiltonian in sweep] == [None, None]
+    assert sweep[0].evaluate([0.3 + 0.1j]) != sweep[1].evaluate([0.3 + 0.1j])
     assert sweep[0]._function.__code__ is sweep[1]._function.__code__
     spin = SpinPolynomial({(1, 0, 2): 0.5})
     assert spin._function is None
@@ -333,10 +337,11 @@ def test_polynomials_compile_on_first_evaluation(monkeypatch):
 
 def test_evaluated_polynomials_pickle():
     """A polynomial keeps pickling once it has generated its function, and
-    so does an FaqSystem, whose hamiltonian is evaluated when it is made."""
+    so does an FaqSystem once its drift is built and evaluated."""
     poly = (z() + 0.5j * zc()) ** 2
     spin = SpinPolynomial({(1, 0, 2): 0.5 - 1j})
     system = oscillator_faq(OscillatorParams(1.0, 0.2))
+    drift(system, [0.3])
     poly.evaluate([0.3])
     spin.evaluate([1.0, 0.5, 2.0])
     copy = pickle.loads(pickle.dumps(poly))
