@@ -454,6 +454,7 @@ def _run_oscillator(resolved: dict, out_dir: Path | None) -> dict:
         "max_trace_deviation": result.max_trace_deviation,
         "max_hermiticity_deviation": result.max_hermiticity_deviation,
         "min_eigenvalue": result.min_eigenvalue,
+        "min_eigenvalue_bound": result.min_eigenvalue_bound,
         "top_level_population": result.top_level_population,
     })
     if out_dir is not None:

@@ -66,6 +66,26 @@ Sampled every 2 steps of 1e-3, the d = 40 and d = 80 oscillators take 8
 passes a sample, and sampled every step 7: a short interval costs more
 passes per unit of time than a long one.
 
+evolve holds every sample to lambda_min(rho) >= -pos_tol, but takes an
+eigendecomposition only where that is in doubt.  It screens a sample by
+one Cholesky factorization of rho + sigma I, with
+
+    sigma = 2 d (d + 1) u ||rho||_F
+
+and u the unit roundoff.  A factorization that completes is exact for a
+positive definite matrix within ||E||_2 <~ d (d + 1) u ||rho + sigma I||_2
+of rho + sigma I (Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed., section 10.1).  ||rho||_F bounds ||rho||_2, and the factor 2
+covers the constants of complex arithmetic, so ||E||_2 <= sigma and a pass
+certifies lambda_min(rho) > -2 sigma: about -2.9e-12 at d = 80 and unit
+purity.  A sample whose screen fails goes to eigvalsh, which raises
+PositivityViolation below -pos_tol, and so does the last sample.  So does
+every sample where 2 sigma is not below pos_tol, since a pass would prove
+nothing there, and a sample that is not finite, whose norm is not finite
+either.  min_eigenvalue is thus the smallest eigenvalue computed, and
+min_eigenvalue_bound, the lower of it and -2 sigma over the passed
+screens, bounds the eigenvalues of every sample.
+
 Stationary states are solved per sector of the vectorized generator, one
 block per mirror pair.  The generator maps rho+ to L(rho)+, so the
 transposed positions (i, j) -> (j, i) of a sector form a sector whose block
@@ -75,18 +95,21 @@ positions is its own mirror.  A number-covariant model such as the limit
 cycle has 2 dim - 1 sectors but dim such pairs, so it takes dim block
 inverses.
 
-stationary runs on one thread of numpy's OpenBLAS (_blas.blas_threads) and
-restores the thread count after.  A threaded LU or dot product splits its
-sums by thread, so the last bits of a threaded solve depend on the thread
-count: the spin rotator's x_exact at l = 7..10 (blocks of 221 rows) moved
-by up to 5e-15 relative between one and two threads.  A threaded call also
-waits for a core whenever another BLAS pool in the process spins, as
-scipy's does for a while after its own calls.  On a 2-core VM a whole
-rotators.json run, l = 1..10, took 0.065 or 0.145 s with two threads when
-it followed scipy calls, against about 0.05 s on one thread either way and
-0.04 s on two without them.  Blocks of 441 rows and more invert faster on
-two threads (19 against 31 ms at 441), which only spin sizes l >= 15
-reach.
+stationary and evolve run on one thread of numpy's OpenBLAS
+(_blas.blas_threads) and restore the thread count after.  A threaded LU or
+dot product splits its sums by thread, so the last bits of a threaded solve
+depend on the thread count: the spin rotator's x_exact at l = 7..10 (blocks
+of 221 rows) moved by up to 5e-15 relative between one and two threads.  A
+threaded call also waits for a core whenever another BLAS pool in the
+process spins, as scipy's does for a while after its own calls.  On a
+2-core VM a whole rotators.json run, l = 1..10, took 0.065 or 0.145 s with
+two threads when it followed scipy calls, against about 0.05 s on one
+thread either way and 0.04 s on two without them.  Blocks of 441 rows and
+more invert faster on two threads (19 against 31 ms at 441), which only
+spin sizes l >= 15 reach.  evolve's screen is one small factorization a
+sample, which threads only slow down: on the same VM (numpy 2.4.6, OpenBLAS
+0.3.31) the Cholesky factor of a d = 80 oscillator sample took 69 us on one
+thread and 111 us on two, and its eigvalsh about 300 us on either.
 """
 
 from __future__ import annotations
@@ -126,12 +149,18 @@ UNIT_ROUNDOFF = 2.0**-53
 SUBSTEP_NORM = 5.0  # the largest h ||L||_1 of an evolve substep
 
 
+def _check_pos_tol(pos_tol: float):
+    if not 0.0 < pos_tol < math.inf:
+        raise ValueError(f"pos_tol must be a finite positive number, got {pos_tol!r}")
+
+
 class DensityMatrix:
     """Hermitian, positive, unit-trace operator, validated on construction."""
 
     __slots__ = ("op",)
 
     def __init__(self, op: OperatorMatrix, pos_tol: float = POSITIVITY_TOL):
+        _check_pos_tol(pos_tol)
         self._hold(op)
         mat = self.op.mat
         min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
@@ -333,11 +362,15 @@ def lindblad_rhs(model: LindbladModel, rho: OperatorMatrix | DensityMatrix) -> O
 @dataclass(frozen=True)
 class EvolveResult:
     """What evolve returns.  The monitors are taken over the samples.
-    top_level_population is the largest total population of the basis
-    states that put some mode at the top level of its Fock cut, which a cut
-    too small for the state fills; on a basis other than a FockSpace, the
-    population of the last basis state.  The basis is that of H, or that
-    of the initial state when H has none."""
+    min_eigenvalue is the smallest eigenvalue computed: that of the last
+    sample and of every sample whose Cholesky screen failed (see the module
+    notes).  min_eigenvalue_bound is at most min_eigenvalue and bounds the
+    eigenvalues of every sample, screened or not.  top_level_population is
+    the largest total population of the basis states that put some mode at
+    the top level of its Fock cut, which a cut too small for the state
+    fills; on a basis other than a FockSpace, the population of the last
+    basis state.  The basis is that of H, or that of the initial state when
+    H has none."""
 
     final: DensityMatrix
     times: np.ndarray
@@ -345,10 +378,12 @@ class EvolveResult:
     max_trace_deviation: float
     max_hermiticity_deviation: float
     min_eigenvalue: float
+    min_eigenvalue_bound: float
     top_level_population: float
     stencil_passes: int
 
 
+@blas_threads(1)
 def evolve(
     model: LindbladModel,
     rho0: DensityMatrix,
@@ -364,13 +399,19 @@ def evolve(
     substeps (see the module notes).  Expectations of the named observables
     are taken, and trace, Hermiticity, positivity and the top-level
     population (EvolveResult) monitored, at every sample, t = 0 and the last
-    included; an eigenvalue below -pos_tol raises PositivityViolation.
-    The truncated generator keeps Lindblad form, so its exact flow keeps rho
-    positive: such an eigenvalue is rounding beyond pos_tol or a broken
-    model, and a Fock cut too small shows in top_level_population instead.
+    included; an eigenvalue below -pos_tol raises PositivityViolation.  A
+    sample is certified by a Cholesky screen and goes to eigvalsh only when
+    the screen fails, when it is the last sample, or when pos_tol is too
+    tight for the screen to decide (see the module notes).  The truncated
+    generator keeps Lindblad form, so its exact flow keeps rho positive:
+    such an eigenvalue is rounding beyond pos_tol or a broken model, and a
+    Fock cut too small shows in top_level_population instead.
     A non-finite generator raises PositivityViolation, and a substep whose
     series does not converge within its degree cap raises SeriesDivergence.
+    A pos_tol that is not a finite positive number raises ValueError.  The
+    run takes one thread of numpy's OpenBLAS, as stationary does.
     """
+    _check_pos_tol(pos_tol)
     if sample_every is None:
         sample_every = _default_sample_every(t_end, dt)
     steps, times = _record_grid(t_end, dt, sample_every, "sample_every")
@@ -425,18 +466,31 @@ def evolve(
     max_trace_dev = 0.0
     max_herm_dev = 0.0
     min_eig_seen = np.inf
+    max_shift = 0.0  # the largest sigma of a passed screen
     top_population = 0.0
     passes = 0
+    identity = np.eye(d)
 
-    def record(t: float, mat: np.ndarray):
-        nonlocal max_trace_dev, max_herm_dev, min_eig_seen, top_population
+    def record(t: float, mat: np.ndarray, last: bool):
+        nonlocal max_trace_dev, max_herm_dev, min_eig_seen, max_shift, top_population
         flat = mat.ravel()
         for name, values in samples.items():
             values.append(complex(flat @ transposed[name]))
         max_trace_dev = max(max_trace_dev, abs(np.trace(mat) - 1.0))
         max_herm_dev = max(max_herm_dev, float(np.max(np.abs(mat - mat.conj().T))))
         top_population = max(top_population, float(mat.diagonal()[top_levels].real.sum()))
-        # mat is exactly Hermitian (see above), so it goes to eigvalsh as is.
+        # The screen of the module notes; a shift that is not finite fails
+        # the comparison.  mat is exactly Hermitian (see above), so it goes
+        # to cholesky and eigvalsh as is.
+        shift = 2.0 * d * (d + 1) * UNIT_ROUNDOFF * math.sqrt(np.vdot(mat, mat).real)
+        if not last and 2.0 * shift < pos_tol:
+            try:
+                np.linalg.cholesky(mat + shift * identity)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                max_shift = max(max_shift, shift)
+                return
         min_eig = float(np.linalg.eigvalsh(mat).min())
         min_eig_seen = min(min_eig_seen, min_eig)
         if min_eig < -pos_tol:
@@ -444,7 +498,7 @@ def evolve(
                 f"eigenvalue {min_eig:.3e} at t={t:.6g}: rounding beyond pos_tol {pos_tol:.1e} or a broken model"
             )
 
-    record(0.0, rho)
+    record(0.0, rho, last=not steps)
 
     for start, stop in zip((0, *steps), steps):
         substeps, cap, h, weights = plan(stop - start)
@@ -475,7 +529,7 @@ def evolve(
                     f"Taylor series of exp(hL) not converged in {cap} terms at t={start * dt:.6g}"
                 )
             passes += k
-        record(stop * dt, rho)
+        record(stop * dt, rho, last=stop == steps[-1])
 
     final = DensityMatrix._spectrum_checked(OperatorMatrix(rho, rho0.basis))  # record checked it
     return EvolveResult(
@@ -485,6 +539,7 @@ def evolve(
         max_trace_deviation=float(max_trace_dev),
         max_hermiticity_deviation=float(max_herm_dev),
         min_eigenvalue=float(min_eig_seen),
+        min_eigenvalue_bound=float(min(min_eig_seen, -2.0 * max_shift) if max_shift else min_eig_seen),
         top_level_population=top_population,
         stencil_passes=passes,
     )
@@ -605,13 +660,15 @@ def stationary(model: LindbladModel, null_tol: float = NULL_TOL, pos_tol: float 
     rows and columns alike, so it has the same norm, singular values and
     bound; a sector with diagonal positions is its own mirror.  A
     number-covariant model thus takes dim inverses instead of 2 dim - 1.
-    A null_tol outside (0, 1) raises ValueError.
+    A null_tol outside (0, 1), or a pos_tol that is not a finite positive
+    number, raises ValueError.
 
     The solve runs on one thread of numpy's OpenBLAS (see the module
     notes), so its result does not depend on the machine's core count.
     """
     if not 0.0 < null_tol < 1.0:
         raise ValueError(f"null_tol must lie in (0, 1), got {null_tol!r}")
+    _check_pos_tol(pos_tol)
     d = model.dim
     sectors, sector_of = _sectors(model)
     cols, rows = np.divmod(np.array([positions[0] for positions in sectors]), d)

@@ -362,30 +362,42 @@ def test_evolution_tracks_classical_oscillator():
     assert np.max(np.abs(result.expectations["a"] - np.array(classical))) <= 1e-6
 
 
+def negative_level_state(dim: int, eigenvalue: float) -> DensityMatrix:
+    """A valid rho0 (DensityMatrix admits -1e-8) whose top level holds the
+    given negative eigenvalue."""
+    weights = np.zeros(dim)
+    weights[0], weights[-1] = 1.0 - eigenvalue, eigenvalue
+    return DensityMatrix(OperatorMatrix(np.diag(weights)))
+
+
 def test_evolve_aborts_on_instability():
     """The two aborts: an eigenvalue below -pos_tol at a sample, here that
-    of a valid rho0 (DensityMatrix admits -1e-8), and a generator whose
-    entries overflow."""
-    weights = np.zeros(10)
-    weights[0], weights[-1] = 1.0 + 5e-9, -5e-9
-    with pytest.raises(PositivityViolation, match="eigenvalue -5"):
-        evolve(decay_model(10), DensityMatrix(OperatorMatrix(np.diag(weights))), 1.0, 0.1, pos_tol=1e-9)
+    of a valid rho0, which fails its Cholesky screen and is named by
+    eigvalsh, and a generator whose entries overflow."""
+    with pytest.raises(PositivityViolation, match=r"eigenvalue -5.000e-09 at t=0: .* pos_tol 1.0e-09"):
+        evolve(decay_model(10), negative_level_state(10, -5e-9), 1.0, 0.1, pos_tol=1e-9)
     with np.errstate(over="ignore", invalid="ignore"):
         overflowing = LindbladModel(OperatorMatrix(np.zeros((10, 10))), (annihilation(10) * 1e160,))
         with pytest.raises(PositivityViolation, match="non-finite"):
             evolve(overflowing, DensityMatrix.fock_state(10, 9), 1.0, 0.1)
 
 
-def test_evolve_holds_every_sample_to_pos_tol():
+def test_evolve_holds_every_sample_to_pos_tol(monkeypatch):
     """One tolerance bounds every sample.  A Fock state has exact
     eigenvalues, so t = 0 passes a pos_tol of 1e-30; the rounding of the
     first interval then lies below -1e-30, and evolve raises
-    PositivityViolation there, never the ValueError of a final check."""
+    PositivityViolation there, never the ValueError of a final check.  At
+    the default pos_tol every screen passes, so min_eigenvalue is that of
+    the last sample, bit for bit."""
     model = oscillator_lindblad(OscillatorParams(1.0, 0.1), 12)
     with pytest.raises(PositivityViolation, match=r"eigenvalue -\S+ at t=0.01:") as caught:
         evolve(model, DensityMatrix.fock_state(12, 1), 2.0, 0.01, pos_tol=1e-30)
     assert "pos_tol 1.0e-30" in str(caught.value)
-    assert evolve(model, DensityMatrix.fock_state(12, 1), 2.0, 0.01).min_eigenvalue < 0.0
+    rho0 = DensityMatrix.fock_state(12, 1)
+    calls = counting_eigvalsh(monkeypatch)
+    result = evolve(model, rho0, 2.0, 0.01)
+    assert len(calls) == 1
+    assert result.min_eigenvalue == np.linalg.eigvalsh(result.final.mat).min()
 
 
 def counting_eigvalsh(monkeypatch) -> list:
@@ -399,17 +411,93 @@ def counting_eigvalsh(monkeypatch) -> list:
 def test_final_state_is_not_checked_twice(monkeypatch):
     """evolve's last sample and stationary's candidate have had their
     eigenvalues checked at pos_tol; the returned DensityMatrix checks trace
-    and Hermiticity but takes no second eigendecomposition: k + 1 eigvalsh
-    calls for k samples after t = 0, one for stationary."""
+    and Hermiticity but takes no second eigendecomposition.  Every earlier
+    sample of this run passes its Cholesky screen, so evolve calls eigvalsh
+    once, for its last sample, and stationary once."""
     model = oscillator_lindblad(OscillatorParams(1.0, 0.1), 10)
     rho0 = DensityMatrix.coherent_state(10, 1.0)
     calls = counting_eigvalsh(monkeypatch)
     result = evolve(model, rho0, 1.1, 0.1, sample_every=2)
     assert len(result.times) - 1 == 6  # at steps 2, 4, ..., 10 and 11
-    assert len(calls) == 7
+    assert len(calls) == 1
     calls.clear()
     stationary(limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), 12))
     assert len(calls) == 1
+
+
+def test_failed_screen_is_decided_by_eigvalsh(monkeypatch):
+    """An eigenvalue of -5e-9 fails the Cholesky screen at t = 0, so that
+    sample goes to eigvalsh: it passes the default pos_tol and is reported
+    exactly (test_evolve_aborts_on_instability holds it to 1e-9)."""
+    rho0 = negative_level_state(10, -5e-9)
+    calls = counting_eigvalsh(monkeypatch)
+    result = evolve(decay_model(10), rho0, 1.0, 0.1)
+    assert len(calls) >= 2  # t = 0 and the last sample
+    assert result.min_eigenvalue == pytest.approx(-5e-9, rel=1e-12)
+    assert result.min_eigenvalue_bound == result.min_eigenvalue
+
+
+def test_tight_pos_tol_takes_eigvalsh_at_every_sample(monkeypatch):
+    """A pos_tol not above 2 sigma, the most a passed screen certifies, sends
+    every sample to eigvalsh, so that run's min_eigenvalue is the minimum
+    over all samples.  The screened run gives the same samples, a
+    min_eigenvalue no lower, and a bound at most 0 that lies below every
+    sample's eigenvalues.  sigma is at least 2 d (d + 1) u / sqrt(d) for a
+    unit-trace sample."""
+    d = 12
+    model = oscillator_lindblad(OscillatorParams(1.0, 0.1), d)
+    rho0 = DensityMatrix.coherent_state(d, 1.0 + 0.5j)
+    tight = 4 * d * (d + 1) * lindblad.UNIT_ROUNDOFF / np.sqrt(d)
+    calls = counting_eigvalsh(monkeypatch)
+    full = evolve(model, rho0, 2.0, 0.01, sample_every=5, pos_tol=tight)
+    assert len(calls) == len(full.times) == 41
+    calls.clear()
+    screened = evolve(model, rho0, 2.0, 0.01, sample_every=5)
+    assert len(calls) == 1
+    assert np.array_equal(screened.final.mat, full.final.mat)
+    assert screened.min_eigenvalue >= full.min_eigenvalue
+    assert screened.min_eigenvalue_bound <= min(0.0, screened.min_eigenvalue, full.min_eigenvalue)
+    assert screened.min_eigenvalue_bound >= -4 * d * (d + 1) * lindblad.UNIT_ROUNDOFF * 1.01
+    assert full.min_eigenvalue_bound == full.min_eigenvalue
+
+
+def test_evolve_restores_blas_threads(monkeypatch):
+    """evolve screens on one thread of numpy's OpenBLAS and gives the count
+    back, whether it returns or raises."""
+    calls = _blas._openblas()
+    if calls is None:
+        pytest.skip("numpy does not call the OpenBLAS of its wheels")
+    get, put = calls
+    cholesky = np.linalg.cholesky
+    threads = []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda mat: threads.append(get()) or cholesky(mat))
+    model = oscillator_lindblad(OscillatorParams(1.0, 0.1), 10)
+    before = get()
+    try:
+        put(2)
+        evolve(model, DensityMatrix.coherent_state(10, 1.0), 1.0, 0.1)
+        assert get() == 2
+        with pytest.raises(PositivityViolation):
+            evolve(decay_model(10), negative_level_state(10, -5e-9), 1.0, 0.1, pos_tol=1e-9)
+        assert get() == 2
+    finally:
+        put(before)
+    assert threads and set(threads) == {1}
+
+
+@pytest.mark.parametrize("pos_tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_pos_tol_must_be_finite_and_positive(monkeypatch, pos_tol):
+    """A bad pos_tol is a bad argument, named before any eigenvalue is
+    taken, not a positivity check switched off or failed at t = 0."""
+    rho = DensityMatrix.fock_state(4, 0)
+    calls = counting_eigvalsh(monkeypatch)
+    with pytest.raises(ValueError, match="pos_tol must be a finite positive number"):
+        DensityMatrix(rho.op, pos_tol=pos_tol)
+    with pytest.raises(ValueError, match="pos_tol must be a finite positive number"):
+        evolve(decay_model(4), rho, 1.0, 0.1, pos_tol=pos_tol)
+    with pytest.raises(ValueError, match="pos_tol must be a finite positive number"):
+        stationary(decay_model(4), pos_tol=pos_tol)
+    assert calls == []
 
 
 def test_evolve_validates_input():
