@@ -54,6 +54,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
+from ._blas import blas_threads
 from ._csv import write_csv
 from .errors import NumericalFailure
 from .faq import ensemble_weights, export_trajectory_csv, sample_phase_points, verify_faq
@@ -429,7 +430,14 @@ def _checked_model(name: str, resolved: dict):
 # -- experiment bodies -------------------------------------------------------
 
 
+@blas_threads(1)
 def _run_oscillator(resolved: dict, out_dir: Path | None) -> dict:
+    # The whole run takes the one BLAS thread evolve takes.  A two-thread
+    # call before evolve (a d = 80 product in the quantized model, the
+    # eigvalsh of the initial state) wakes OpenBLAS's worker thread, which
+    # then spins through most of the single-thread evolve: a short d = 80
+    # run took 0.05 s, or up to 0.27 s where the spinner shared the
+    # core of the main thread.
     n = resolved["numerics"]
     params, system, summary = _checked_model("oscillator", resolved)
     dim = n["dim"]

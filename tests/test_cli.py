@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from semiq import cli
+from semiq import _blas, cli
 from semiq.cli import _config_hash, main, resolve_config, validate_config
 from semiq.errors import NumericalFailure
 from semiq.faq import FaqSystem
@@ -462,6 +462,30 @@ def test_run_oscillator_top_level_population(tmp_path, dim, alpha, t_end, low, h
     if dim == 8:
         # the drift is linear, so this error measures only the Fock cut
         assert summary["ehrenfest_max_error"] == pytest.approx(0.594, abs=1e-3)
+
+
+def test_run_oscillator_takes_one_blas_thread(tmp_path, monkeypatch):
+    """The model is built on the one BLAS thread evolve takes, so no
+    two-thread call before evolve leaves a worker spinning through it; the
+    thread count comes back after the run."""
+    calls = _blas._openblas()
+    if calls is None:
+        pytest.skip("numpy does not call the OpenBLAS of its wheels")
+    get, put = calls
+    quantized_lindblad = cli.models.quantized_lindblad
+    threads = []
+    monkeypatch.setattr(cli.models, "quantized_lindblad",
+                        lambda *args: threads.append(get()) or quantized_lindblad(*args))
+    config = oscillator_config()
+    config["numerics"] = {"dim": 30, "evolve.dt": 0.001, "t_end": 0.01, "alpha": [1.0, 0.0]}
+    before = get()
+    try:
+        put(2)
+        cli.run_config(config, output_dir=str(tmp_path))
+        assert get() == 2
+    finally:
+        put(before)
+    assert threads == [1]
 
 
 def test_run_builds_each_faq_system_once(tmp_path, monkeypatch):
