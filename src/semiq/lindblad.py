@@ -36,35 +36,50 @@ O(P d^2) in all.  A dense operator makes P ~ d^2, so the stencil suits the
 banded generators that quantized polynomials give.
 
 L is linear and constant in time, and evolve needs rho only at its
-samples, tau = sample_every dt apart.  So it applies exp(tau L) to rho once
-per sample interval, as a truncated Taylor series in s substeps of
-h = tau / s (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011); see
-also Moler and Van Loan, SIAM Rev. 45, 3 (2003)).
+samples, tau = sample_every dt apart.  So it applies exp(s L) to rho as
+truncated Taylor series, each over a span h with h ||L||_1 <= 5, and reads
+every sample inside a span off that span's one series (Al-Mohy and Higham,
+SIAM J. Sci. Comput. 33, 488 (2011); see also Moler and Van Loan, SIAM
+Rev. 45, 3 (2003)).
 
-- s is the smallest count with h ||L||_1 <= 5.  ||L||_1 is the largest
-  column sum of |L| as a matrix on the flat view of X, read off the stencil
-  weights (LindbladModel._norm); no dense generator is built.
-- The terms are t_0 = rho and t_k = (h/k) L(t_(k-1)).  Each is one pass of
-  the stencil, with its weights scaled by h/k: m = (h/k) M(t_(k-1)), then
-  t_k = m + m+.  Every term, partial sum and sample is thus exactly
-  Hermitian.
-- A substep ends when two successive terms fall below the unit roundoff
-  times rho, in the Frobenius norm, one np.vdot a pass.
+- A span covers as many whole sample intervals as keep h ||L||_1 <= 5
+  (_spans).  An interval longer than that is split into the fewest equal
+  substeps within the bound, each a series of its own.  ||L||_1 is the
+  largest column sum of |L| as a matrix on the flat view of X, read off
+  the stencil weights (LindbladModel._norm); no dense generator is built.
+- The terms are u_0 = rho and u_k = h L(u_(k-1)), so t_k = u_k / k! is
+  the k-th Taylor term at the span's far end.  Each is one pass of the
+  stencil with its weights scaled by h, one copy per span: m = h M(u_(k-1)),
+  then u_k = m + m+, exactly Hermitian.  The terms u_0 ... u_K, K the
+  degree at which the series stops, are kept in one buffer of
+  (cap + 1) d^2 entries.
+- A series ends when two successive terms t_k fall below the unit roundoff
+  times rho, in the Frobenius norm, one np.vdot a pass.  At a point s
+  inside the span the terms are (s/h)^k t_k, smaller still.
 - t_k is at most (h ||L||_1)^k / k! times rho in the entry-wise 1-norm.
   The bound 5 keeps the largest term, and with it the rounding of the sum,
   below 27 times rho.  It also fixes a degree cap by which the stopping
-  test must hold (_degree_cap).  A substep that reaches the cap raises
+  test must hold (_degree_cap).  A series that reaches the cap raises
   SeriesDivergence; so does a term that is not finite, whose size fails
   the test.  With a finite 1-norm bound no term can overflow, and a bound
-  that is not finite raises PositivityViolation before any pass.
+  that is not finite raises PositivityViolation before any series starts.
+- Each sample in the span, and the span's end, is read off the stored
+  terms as sum_k (s/h)^k / k! u_k: one real matrix product of the
+  coefficients with the float view of the terms, at most K + 1 points a
+  product.  Each result is Hermitized as (x + x+)/2, so every sample is
+  exactly Hermitian whatever order the product sums in, and the span's end
+  is the next series' rho.  A series screens its samples (below) only
+  after its passes, so its SeriesDivergence comes before the screens of
+  the samples it spans.
 
-The views each term reads and writes are built once per call, and the
-scaled weights once per degree a run uses.  The shipped oscillator
-(d = 40, tau = 0.1, tau ||L||_1 = 4.15) takes one substep of 16-17 passes a
-sample, and its samples agree with scipy's expm of the generator to 5e-15.
-Sampled every 2 steps of 1e-3, the d = 40 and d = 80 oscillators take 8
-passes a sample, and sampled every step 7: a short interval costs more
-passes per unit of time than a long one.
+The views each pass reads and writes are built once per call, and the
+scaled weights and read-off coefficients once per distinct span.  The
+shipped oscillator (d = 40, tau = 0.1, tau ||L||_1 = 4.15) fits one sample
+in a span and takes one series of 16-17 passes a sample, and its samples
+agree with scipy's expm of the generator to 5.1e-15.  Sampled every 2
+steps of 1e-3 (tau ||L||_1 = 0.17), the d = 80 oscillator fits 29 samples
+in a span of 17 passes: 151 passes for 250 samples, where one series per
+sample interval took 2000.
 
 evolve holds every sample to lambda_min(rho) >= -pos_tol, but takes an
 eigendecomposition only where that is in doubt.  It screens a sample by
@@ -72,9 +87,10 @@ one Cholesky factorization of rho + sigma I, with
 
     sigma = 2 d (d + 1) u ||rho||_F
 
-and u the unit roundoff.  A factorization that completes is exact for a
-positive definite matrix within ||E||_2 <~ d (d + 1) u ||rho + sigma I||_2
-of rho + sigma I (Higham, Accuracy and Stability of Numerical Algorithms,
+and u the unit roundoff, rho + sigma I built in one buffer per call.  A
+factorization that completes is exact for a positive definite matrix
+within ||E||_2 <~ d (d + 1) u ||rho + sigma I||_2 of rho + sigma I
+(Higham, Accuracy and Stability of Numerical Algorithms,
 2nd ed., section 10.1).  ||rho||_F bounds ||rho||_2, and the factor 2
 covers the constants of complex arithmetic, so ||E||_2 <= sigma and a pass
 certifies lambda_min(rho) > -2 sigma: about -2.9e-12 at d = 80 and unit
@@ -361,16 +377,19 @@ def lindblad_rhs(model: LindbladModel, rho: OperatorMatrix | DensityMatrix) -> O
 
 @dataclass(frozen=True)
 class EvolveResult:
-    """What evolve returns.  The monitors are taken over the samples.
-    min_eigenvalue is the smallest eigenvalue computed: that of the last
-    sample and of every sample whose Cholesky screen failed (see the module
-    notes).  min_eigenvalue_bound is at most min_eigenvalue and bounds the
-    eigenvalues of every sample, screened or not.  top_level_population is
-    the largest total population of the basis states that put some mode at
-    the top level of its Fock cut, which a cut too small for the state
-    fills; on a basis other than a FockSpace, the population of the last
-    basis state.  The basis is that of H, or that of the initial state when
-    H has none."""
+    """What evolve returns.  The monitors are taken over the samples, but
+    max_hermiticity_deviation is that of the final state: every sample is
+    Hermitian to the last bit by construction (see the module notes), so
+    it reads 0.0.  min_eigenvalue is the smallest eigenvalue computed: that
+    of the last sample and of every sample whose Cholesky screen failed (see
+    the module notes).  min_eigenvalue_bound is at most min_eigenvalue and
+    bounds the eigenvalues of every sample, screened or not.
+    top_level_population is the largest total population of the basis
+    states that put some mode at the top level of its Fock cut, which a cut
+    too small for the state fills; on a basis other than a FockSpace, the
+    population of the last basis state.  The basis is that of H, or that of
+    the initial state when H has none.  stencil_passes counts the passes of
+    every series."""
 
     final: DensityMatrix
     times: np.ndarray
@@ -395,9 +414,10 @@ def evolve(
 ) -> EvolveResult:
     """The master equation from rho0, sampled every `sample_every` steps of
     dt on the record grid of integrate (default interval there): rho at each
-    sample is exp(tau L) applied to the one before, as a Taylor series in
-    substeps (see the module notes).  Expectations of the named observables
-    are taken, and trace, Hermiticity, positivity and the top-level
+    sample is read off a truncated Taylor series of exp(s L) that covers as
+    many whole sample intervals as its bound allows, or the last substep of
+    a longer interval (see the module notes).  Expectations of the named
+    observables are taken, and trace, positivity and the top-level
     population (EvolveResult) monitored, at every sample, t = 0 and the last
     included; an eigenvalue below -pos_tol raises PositivityViolation.  A
     sample is certified by a Cholesky screen and goes to eigvalsh only when
@@ -406,8 +426,9 @@ def evolve(
     generator keeps Lindblad form, so its exact flow keeps rho positive:
     such an eigenvalue is rounding beyond pos_tol or a broken model, and a
     Fock cut too small shows in top_level_population instead.
-    A non-finite generator raises PositivityViolation, and a substep whose
-    series does not converge within its degree cap raises SeriesDivergence.
+    A non-finite generator raises PositivityViolation before any series
+    starts.  A series that does not converge within its degree cap raises
+    SeriesDivergence, before the samples it spans are screened.
     A pos_tol that is not a finite positive number raises ValueError.  The
     run takes one thread of numpy's OpenBLAS, as stationary does.
     """
@@ -429,63 +450,78 @@ def evolve(
             raise ValueError(f"observable {name!r} dimension mismatch")
     # tr(rho A) = rho.ravel() @ A.ravel(order="F"), as in _trace_product
     transposed = {name: op.mat.ravel(order="F") for name, op in observables.items()}
-
-    # A pass reads the term t_(k-1) and writes m = (h/k) M(t_(k-1)), then
-    # the term t_k = m + m+ over it.  The stencil term of the shift nearest
-    # 0 writes its slice of m directly, its weight padded with zeros over
-    # every position whose read stays inside the matrix (all of m at shift
-    # 0); the others add theirs through the product scratch.  Only the part
-    # of m that the first term does not reach is zeroed.  A model with no
-    # stencil terms gets one zero term.
+    # terms[k] holds u_k = h^k L^k rho, so t_k = u_k / k!.  Pass k reads
+    # u_(k-1) and writes m = h M(u_(k-1)), then u_k = m + m+ into terms[k].
+    # The stencil term of the shift nearest 0 writes its slice of m
+    # directly, its weight padded with zeros over every position whose read
+    # stays inside the matrix (all of m at shift 0); the others add theirs
+    # through the product scratch.  Only the part of m that the first term
+    # does not reach is zeroed.  A model with no stencil terms gets one zero
+    # term.  Each distinct span gets its degree cap, its weights scaled by
+    # h and the read-off coefficients (s/h)^j / j!, j <= cap, of its points
+    # s.  Rows of terms and of readoff that a run never reaches are never
+    # written, so they take no memory.
     d = model.dim
-    rho = (rho0.mat + rho0.mat.conj().T) / 2.0
-    term = np.empty_like(rho)
-    m = np.empty_like(rho)
-    scratch = np.empty(d * d, dtype=complex)
-    term_flat, m_flat, m_transposed = term.reshape(-1), m.reshape(-1), m.T
     stencil = sorted(model._stencil, key=lambda entry: abs(entry[0])) or [(0, 0, d * d, np.zeros(d * d))]
     shift, lo, hi, weight = stencil[0]
     a, b = max(0, -shift), d * d - max(0, shift)
     padded = np.zeros(b - a, dtype=complex)
     padded[lo - a:hi - a] = weight
-    first_source, first_target = term_flat[a + shift:b + shift], m_flat[a:b]
-    views = [(term_flat[lo + shift:hi + shift], scratch[:hi - lo], m_flat[lo:hi]) for shift, lo, hi, _ in stencil[1:]]
+    spans = _spans(steps, dt, model._norm)
+    plans = {}  # (length, parts, offsets) -> (cap, weights scaled by h, read-off coefficients)
+    for length, parts, offsets, _start in spans:
+        if (length, parts, offsets) not in plans:
+            h = length * dt / parts
+            cap = _degree_cap(length * dt * model._norm / parts, d)
+            fractions = np.array(offsets, dtype=float)[:, None] / length
+            plans[length, parts, offsets] = (
+                cap,
+                h * padded,
+                [h * weight for *_, weight in stencil[1:]],
+                np.cumprod(np.hstack([np.ones_like(fractions), fractions / np.arange(1.0, cap + 1)]), axis=1),
+            )
+    rows = max((plan[0] for plan in plans.values()), default=0) + 1
+    terms = np.empty((rows, d, d), dtype=complex)
+    readoff = np.empty_like(terms)
+    m = np.empty((d, d), dtype=complex)
+    sample = np.empty_like(m)
+    scratch = np.empty(d * d, dtype=complex)
+    terms_flat, m_flat, m_transposed = terms.reshape(rows, -1), m.reshape(-1), m.T
+    terms_real, readoff_real = terms_flat.view(float), readoff.reshape(rows, -1).view(float)
+    first_target = m_flat[a:b]
+    reads = [  # per pass k: the reads of u_(k-1), with the scratch and the slice of m of each
+        (term[a + shift:b + shift], [
+            (term[lo + shift:hi + shift], scratch[:hi - lo], m_flat[lo:hi]) for shift, lo, hi, _ in stencil[1:]
+        ])
+        for term in terms_flat[:-1]
+    ]
     zeroed = [part for part in (m_flat[:a], m_flat[b:]) if part.size]
-    plans = {}  # interval length in steps -> (substeps, degree cap, weights per degree)
-
-    def plan(length: int) -> tuple:
-        if length not in plans:
-            beta = length * dt * model._norm
-            if not math.isfinite(beta):
-                raise PositivityViolation(f"non-finite generator: 1-norm bound {model._norm:.3e}")
-            substeps = max(1, math.ceil(beta / SUBSTEP_NORM))
-            plans[length] = (substeps, _degree_cap(beta / substeps, d), length * dt / substeps, [])
-        return plans[length]
 
     samples: dict[str, list[complex]] = {name: [] for name in observables}
     max_trace_dev = 0.0
-    max_herm_dev = 0.0
     min_eig_seen = np.inf
     max_shift = 0.0  # the largest sigma of a passed screen
     top_population = 0.0
     passes = 0
-    identity = np.eye(d)
+    shifted = np.empty_like(m)  # rho + sigma I, for the screen
+    shifted_diagonal = shifted.reshape(-1)[::d + 1]
 
     def record(t: float, mat: np.ndarray, last: bool):
-        nonlocal max_trace_dev, max_herm_dev, min_eig_seen, max_shift, top_population
+        nonlocal max_trace_dev, min_eig_seen, max_shift, top_population
         flat = mat.ravel()
         for name, values in samples.items():
             values.append(complex(flat @ transposed[name]))
         max_trace_dev = max(max_trace_dev, abs(np.trace(mat) - 1.0))
-        max_herm_dev = max(max_herm_dev, float(np.max(np.abs(mat - mat.conj().T))))
         top_population = max(top_population, float(mat.diagonal()[top_levels].real.sum()))
         # The screen of the module notes; a shift that is not finite fails
         # the comparison.  mat is exactly Hermitian (see above), so it goes
         # to cholesky and eigvalsh as is.
         shift = 2.0 * d * (d + 1) * UNIT_ROUNDOFF * math.sqrt(np.vdot(mat, mat).real)
         if not last and 2.0 * shift < pos_tol:
+            np.copyto(shifted, mat)
+            np.add(shifted_diagonal, shift, out=shifted_diagonal)
             try:
-                np.linalg.cholesky(mat + shift * identity)
+                np.linalg.cholesky(shifted)
             except np.linalg.LinAlgError:
                 pass
             else:
@@ -498,29 +534,32 @@ def evolve(
                 f"eigenvalue {min_eig:.3e} at t={t:.6g}: rounding beyond pos_tol {pos_tol:.1e} or a broken model"
             )
 
-    record(0.0, rho, last=not steps)
+    np.add(rho0.mat, rho0.mat.conj().T, out=terms[0])
+    terms[0] *= 0.5
+    record(0.0, terms[0], last=not steps)
+    sampled = 0  # samples recorded after t = 0
 
-    for start, stop in zip((0, *steps), steps):
-        substeps, cap, h, weights = plan(stop - start)
-        for _ in range(substeps):
-            np.copyto(term, rho)
-            limit = UNIT_ROUNDOFF**2 * np.vdot(rho, rho).real
+    for length, parts, offsets, start in spans:
+        cap, first_weight, rest, coefficients = plans[length, parts, offsets]
+        for part in range(parts):
+            limit = UNIT_ROUNDOFF**2 * np.vdot(terms[0], terms[0]).real
             previous = math.inf
+            factorial = 1.0
             for k in range(1, cap + 1):
-                if len(weights) < k:
-                    weights.append((h / k * padded, [h / k * weight for *_, weight in stencil[1:]]))
-                for part in zeroed:
-                    part.fill(0.0)
-                first_weight, rest = weights[k - 1]
+                first_source, views = reads[k - 1]
+                for zero in zeroed:
+                    zero.fill(0.0)
                 np.multiply(first_weight, first_source, out=first_target)
                 for weight, (source, product, target) in zip(rest, views):
                     np.multiply(weight, source, out=product)
                     np.add(target, product, out=target)
+                term = terms[k]
                 np.conjugate(m_transposed, out=term)
                 np.add(term, m, out=term)
-                np.add(rho, term, out=rho)
-                # a non-finite size fails the test, so the cap catches it
-                size = np.vdot(term, term).real
+                # the size of t_k; a non-finite one fails the test, so the
+                # cap catches it
+                factorial *= k
+                size = np.vdot(term, term).real / factorial**2
                 if size <= limit and previous <= limit:
                     break
                 previous = size
@@ -529,20 +568,56 @@ def evolve(
                     f"Taylor series of exp(hL) not converged in {cap} terms at t={start * dt:.6g}"
                 )
             passes += k
-        record(stop * dt, rho, last=stop == steps[-1])
+            # rho at each read-off point s is sum_j (s/h)^j / j! u_j, j <= k,
+            # in products of at most k + 1 points; the last point is the end
+            # of the series, which Hermitized becomes the next one's t_0
+            for first in range(0, len(offsets), k + 1):
+                chunk = coefficients[first:first + k + 1, :k + 1]
+                np.matmul(chunk, terms_real[:k + 1], out=readoff_real[:len(chunk)])
+                for index, value in enumerate(readoff[:len(chunk)], start=first):
+                    target = terms[0] if index == len(offsets) - 1 else sample
+                    np.conjugate(value.T, out=target)
+                    np.add(target, value, out=target)
+                    target *= 0.5
+                    if part == parts - 1:
+                        sampled += 1
+                        record(times[sampled], target, last=sampled == len(steps))
 
+    rho = terms[0].copy()
     final = DensityMatrix._spectrum_checked(OperatorMatrix(rho, rho0.basis))  # record checked it
     return EvolveResult(
         final=final,
         times=times,
         expectations={name: np.array(values) for name, values in samples.items()},
         max_trace_deviation=float(max_trace_dev),
-        max_hermiticity_deviation=float(max_herm_dev),
+        max_hermiticity_deviation=float(np.max(np.abs(rho - rho.conj().T))),
         min_eigenvalue=float(min_eig_seen),
         min_eigenvalue_bound=float(min(min_eig_seen, -2.0 * max_shift) if max_shift else min_eig_seen),
         top_level_population=top_population,
         stencil_passes=passes,
     )
+
+
+def _spans(steps: list[int], dt: float, norm: float) -> list[tuple[int, int, tuple[int, ...], int]]:
+    """The Taylor series of evolve, in order, as (length, parts, offsets,
+    start): `parts` series of h = length dt / parts each cover the steps
+    from `start` on, and the last reads off the samples `offsets` steps past
+    `start`, the last of them at `length`.  Successive sample intervals
+    share one series while their whole span keeps h ||L||_1 <= SUBSTEP_NORM;
+    an interval longer than that is split into the fewest equal substeps
+    within the bound.  A bound that is not finite raises PositivityViolation."""
+    spans = []
+    for prev, stop in zip((0, *steps), steps):
+        beta = (stop - prev) * dt * norm
+        if not math.isfinite(beta):
+            raise PositivityViolation(f"non-finite generator: 1-norm bound {norm:.3e}")
+        if spans and spans[-1][1] == 1 and (stop - spans[-1][3]) * dt * norm <= SUBSTEP_NORM:
+            span = spans[-1]
+            span[0] = stop - span[3]
+            span[2].append(span[0])
+        else:
+            spans.append([stop - prev, max(1, math.ceil(beta / SUBSTEP_NORM)), [stop - prev], prev])
+    return [(length, parts, tuple(offsets), start) for length, parts, offsets, start in spans]
 
 
 def _degree_cap(b: float, dim: int) -> int:
