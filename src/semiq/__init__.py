@@ -37,7 +37,6 @@ from .lindblad import (
     expectation,
     lindblad_rhs,
     liouvillian_matrix,
-    liouvillian_sectors,
     stationary,
 )
 from .models import (

@@ -111,21 +111,39 @@ positions is its own mirror.  A number-covariant model such as the limit
 cycle has 2 dim - 1 sectors but dim such pairs, so it takes dim block
 inverses.
 
+When every weight of the stencil is exactly real, M maps conj X to
+conj M(X), so L commutes with the entrywise conjugation, an antiunitary
+weak symmetry in the sense of Buca and Prosen (New J. Phys. 14, 073007
+(2012)), and, with X -> X+, with the transpose.  The generator's matrix is
+then real.  A mirror pair's block is inverted in float64, and a
+self-mirror sector splits into its symmetric and antisymmetric halves, two
+real blocks of about half its size (see stationary).  Each half is built
+from the sector's block by adding and subtracting the rows and columns of
+each pair (p, mirror p), O(n^2) against the O(n^3) inverse.  A complex
+flop costs about four real ones, so the two real halves together take
+about a sixteenth of the flops of the complex inverse.  The spin rotator
+model has a real stencil at any detuning: at l = 10 its parity sectors of
+221 and 220 positions give halves of 121, 100, 110 and 110 rows.  The
+oscillator and the limit cycle at omega != 0 do not, and keep their
+complex blocks.
+
 stationary and evolve run on one thread of numpy's OpenBLAS
 (_blas.blas_threads) and restore the thread count after.  A threaded LU or
 dot product splits its sums by thread, so the last bits of a threaded solve
-depend on the thread count: the spin rotator's x_exact at l = 7..10 (blocks
-of 221 rows) moved by up to 5e-15 relative between one and two threads.  A
-threaded call also waits for a core whenever another BLAS pool in the
-process spins, as scipy's does for a while after its own calls.  On a
-2-core VM a whole rotators.json run, l = 1..10, took 0.065 or 0.145 s with
-two threads when it followed scipy calls, against about 0.05 s on one
-thread either way and 0.04 s on two without them.  Blocks of 441 rows and
-more invert faster on two threads (19 against 31 ms at 441), which only
-spin sizes l >= 15 reach.  evolve's screen is one small factorization a
-sample, which threads only slow down: on the same VM (numpy 2.4.6, OpenBLAS
-0.3.31) the Cholesky factor of a d = 80 oscillator sample took 69 us on one
-thread and 111 us on two, and its eigvalsh about 300 us on either.
+depend on the thread count: the inverses of the spin rotator's bordered
+halves at l = 10 differ by up to 8e-15 relative between one and two
+threads.  A threaded call also waits for a core whenever another BLAS pool
+in the process spins, as scipy's does for a while after its own calls.  On
+a 2-core VM a whole rotators.json run, l = 1..10, took 0.065 or 0.145 s
+with two threads when it followed scipy calls, against about 0.05 s on one
+thread either way and 0.04 s on two without them (with the complex blocks
+solved before the split).  Complex blocks of 441 rows inverted faster on
+two threads (19 against 31 ms); real ones gain less (13 against 16 ms at
+441 rows), and the spin model's halves reach that size only at l = 20.
+evolve's screen is one small factorization a sample, which threads only
+slow down: on the same VM (numpy 2.4.6, OpenBLAS 0.3.31) the Cholesky
+factor of a d = 80 oscillator sample took 69 us on one thread and 111 us
+on two, and its eigvalsh about 300 us on either.
 """
 
 from __future__ import annotations
@@ -149,7 +167,6 @@ __all__ = [
     "evolve",
     "EvolveResult",
     "liouvillian_matrix",
-    "liouvillian_sectors",
     "stationary",
     "expectation",
     "adjoint_generator",
@@ -633,8 +650,9 @@ def _degree_cap(b: float, dim: int) -> int:
     return degree + 1
 
 
-def liouvillian_sectors(model: LindbladModel) -> list[np.ndarray]:
-    """Column-stacked positions of each sector of the vectorized generator.
+def _sectors(model: LindbladModel) -> tuple[list[np.ndarray], np.ndarray]:
+    """Column-stacked positions of each sector of the vectorized generator,
+    and the index of the sector of each position.
 
     A sector is a connected component of the generator's sparsity pattern,
     found from the supports of K and of each R_j without forming the
@@ -649,11 +667,6 @@ def liouvillian_sectors(model: LindbladModel) -> list[np.ndarray]:
     pattern.  Since the generator maps rho+ to L(rho)+, the transposed
     positions (i, j) -> (j, i) of a sector form one sector, its mirror.
     """
-    return _sectors(model)[0]
-
-
-def _sectors(model: LindbladModel) -> tuple[list[np.ndarray], np.ndarray]:
-    """liouvillian_sectors, and the index of the sector of each position."""
     d = model.dim
     index = np.arange(d)
     k_rows, k_cols = np.nonzero(model._k)
@@ -686,7 +699,7 @@ def liouvillian_matrix(model: LindbladModel, positions: np.ndarray | None = None
 
     With no positions this is the full dim^2 x dim^2 matrix; otherwise the
     block of rows and columns at the given column-stacked positions
-    (i + dim j for rho_ij), e.g. one of liouvillian_sectors.  Entries are
+    (i + dim j for rho_ij), e.g. one sector of the generator.  Entries are
 
         L[(k,l),(i,j)] = K_ki d_lj + d_ki conj(K_lj) + 2 sum_m (R_m)_ki conj((R_m)_lj)
 
@@ -707,59 +720,115 @@ def liouvillian_matrix(model: LindbladModel, positions: np.ndarray | None = None
     return out
 
 
+def _stationary_blocks(model: LindbladModel):
+    """The blocks stationary solves, each as (block, count, positions,
+    diagonal, lift): the generator on the sector at positions, or on one
+    half of it; the number of sectors whose singular values it stands for;
+    the rows of block that belong to diagonal positions of rho; and lift,
+    which maps a vector x of the block to the values at positions of the
+    sector vector it stands for.
+
+    One block stands for each mirror pair of sectors.  When every stencil
+    weight is real, the generator's matrix is real: a mirror pair's block
+    is taken in float64, and a self-mirror sector gives its symmetric and
+    its antisymmetric half (see stationary), with the rows and columns of
+    each pair (p, mirror p) combined.  The symmetric half orders the
+    diagonal positions first, then the pairs.
+    """
+    d = model.dim
+    real = not any(np.any(weight.imag) for _shift, _lo, _hi, weight in model._stencil)
+    sectors, sector_of = _sectors(model)
+    for k, positions in enumerate(sectors):
+        cols, rows = np.divmod(positions, d)
+        mirrored = rows * d + cols
+        mirror = sector_of[mirrored[0]]
+        if mirror < k:
+            continue
+        block = liouvillian_matrix(model, positions)
+        diagonal = np.flatnonzero(rows == cols)
+        if real:
+            block = block.real
+        if not real or mirror != k:
+            yield block, (1 if mirror == k else 2), positions, diagonal, np.copy
+            continue
+        partner = np.searchsorted(positions, mirrored)  # the index of each position's mirror
+        first = np.flatnonzero(partner > np.arange(len(positions)))
+        second = partner[first]
+        r = math.sqrt(0.5)
+        plus = np.concatenate([block[diagonal], r * (block[first] + block[second])])
+        symmetric = np.concatenate([plus[:, diagonal], r * (plus[:, first] + plus[:, second])], axis=1)
+
+        def lift(x, diagonal=diagonal, first=first, second=second):
+            values = np.empty(len(diagonal) + 2 * len(first))
+            values[diagonal] = x[:len(diagonal)]
+            values[first] = values[second] = r * x[len(diagonal):]
+            return values
+
+        yield symmetric, 1, positions, np.arange(len(diagonal)), lift
+        if first.size:
+            minus = r * (block[first] - block[second])
+            yield r * (minus[:, first] - minus[:, second]), 1, positions, np.arange(0), None
+
+
 @blas_threads(1)
 def stationary(model: LindbladModel, null_tol: float = NULL_TOL, pos_tol: float = POSITIVITY_TOL) -> DensityMatrix:
     """Unique stationary state from the null space of the vectorized generator.
 
-    The generator is solved per sector (liouvillian_sectors).  Since
-    tr L(rho) = 0, the trace functional is a left null vector of every
-    sector block that holds diagonal positions of rho; replacing one of its
-    diagonal rows by the trace functional gives a bordered block B whose
-    solution with unit right-hand side in that row is the unit-trace null
-    vector.  A rank-one change moves each singular value at most one place,
-    so sigma_2(block) >= sigma_min(B) >= 1 / ||B^-1||_F; a sector without
-    diagonal positions bounds sigma_min of its plain block the same way.
-    When exactly one sector holds diagonal positions and every bound lies
-    above null_tol times the largest singular value (bounded above by the
-    largest Frobenius norm of a block), the null space is one-dimensional
-    and no SVD is taken.  Otherwise the singular values of every block are
-    computed and counted as for one SVD of the whole generator: those at or
-    below null_tol relative to the largest count as null directions, and a
-    null space of dimension other than one raises DegenerateStationaryState
-    with that dimension.  The null vector is Hermitized, trace-normalized and
-    validated: a residual above RESIDUAL_TOL, or an eigenvalue below -pos_tol
-    (rounding or a broken model, as in evolve), raises NumericalFailure.
+    The generator is solved per block of its sectors (_sectors,
+    _stationary_blocks).  Since tr L(rho) = 0, the trace functional is a
+    left null vector of every block that holds diagonal positions of rho;
+    replacing one of its diagonal rows by the trace functional gives a
+    bordered block B whose solution with unit right-hand side in that row
+    is the unit-trace null vector.  A rank-one change moves each singular
+    value at most one place, so sigma_2(block) >= sigma_min(B) >=
+    1 / ||B^-1||_F; a block without diagonal positions bounds sigma_min of
+    itself the same way.  When exactly one block holds diagonal positions
+    and every bound lies above null_tol times the largest singular value
+    (bounded above by the largest Frobenius norm of a block), the null
+    space is one-dimensional and no SVD is taken.  Otherwise the singular
+    values of every block are computed and counted as for one SVD of the
+    whole generator: those at or below null_tol relative to the largest
+    count as null directions, and a null space of dimension other than one
+    raises DegenerateStationaryState with that dimension.  The null vector
+    is Hermitized, trace-normalized and validated: a residual above
+    RESIDUAL_TOL, or an eigenvalue below -pos_tol (rounding or a broken
+    model, as in evolve), raises NumericalFailure.
 
     Each block is solved once per mirror pair of sectors.  The block of a
     sector's mirror is the entrywise conjugate of its own after permuting
     rows and columns alike, so it has the same norm, singular values and
     bound; a sector with diagonal positions is its own mirror.  A
     number-covariant model thus takes dim inverses instead of 2 dim - 1.
-    A null_tol outside (0, 1), or a pos_tol that is not a finite positive
-    number, raises ValueError.
 
-    The solve runs on one thread of numpy's OpenBLAS (see the module
-    notes), so its result does not depend on the machine's core count.
+    When every weight of the model's stencil is exactly real, M(conj X) =
+    conj M(X), so L commutes with X -> conj X and, since it maps X+ to
+    L(X)+, with the transpose X -> X^T: the generator's matrix is real, and
+    so is every block, which is then solved in float64.  A self-mirror
+    sector splits further.  In the orthonormal basis {e_ii, (e_ij + e_ji) /
+    sqrt 2} of its symmetric and {(e_ij - e_ji) / sqrt 2} of its
+    antisymmetric matrices, its block is the direct sum of two real blocks
+    of about half its size, each solved as a block of its own.  The
+    diagonal positions, the trace row and the null vector lie in the
+    symmetric half; the antisymmetric half gives only its bound.  The basis
+    is orthonormal, so the two halves' singular values are the sector's
+    and each half's bound is one of its own.  The spin rotator model, at
+    any detuning, and the limit cycle at omega = 0 have real stencils; the
+    oscillator and the limit cycle at omega != 0 do not.
+
+    A null_tol outside (0, 1), or a pos_tol that is not a finite positive
+    number, raises ValueError.  The solve runs on one thread of numpy's
+    OpenBLAS (see the module notes), so its result does not depend on the
+    machine's core count.
     """
     if not 0.0 < null_tol < 1.0:
         raise ValueError(f"null_tol must lie in (0, 1), got {null_tol!r}")
     _check_pos_tol(pos_tol)
     d = model.dim
-    sectors, sector_of = _sectors(model)
-    cols, rows = np.divmod(np.array([positions[0] for positions in sectors]), d)
-    mirrors = sector_of[rows * d + cols]  # the sector of each sector's transpose
-    # the first sector of each mirror pair, and how many sectors it stands for
-    solved = [
-        (positions, 1 if mirrors[k] == k else 2)
-        for k, positions in enumerate(sectors) if mirrors[k] >= k
-    ]
     norm_bound = 0.0  # largest ||block||_F, at least the largest singular value
-    gap_bounds = []  # per solved sector, 1 / ||B^-1||_F, or 0.0 where B is singular
-    traced = []  # (positions, null vector) of each sector with diagonal positions
-    for positions, _count in solved:
-        block = liouvillian_matrix(model, positions)
+    gap_bounds = []  # per block, 1 / ||B^-1||_F, or 0.0 where B is singular
+    traced = []  # (positions, null vector) of each block with diagonal positions
+    for block, _count, positions, diagonal, lift in _stationary_blocks(model):
         norm_bound = max(norm_bound, float(np.linalg.norm(block)))
-        diagonal = np.flatnonzero(positions % (d + 1) == 0)
         if diagonal.size:
             row = diagonal[0]
             block[row] = 0.0
@@ -771,13 +840,13 @@ def stationary(model: LindbladModel, null_tol: float = NULL_TOL, pos_tol: float 
             continue
         gap_bounds.append(1.0 / float(np.linalg.norm(inverse)))
         if diagonal.size:
-            traced.append((positions, inverse[:, row].copy()))
+            traced.append((positions, lift(inverse[:, row])))
 
     threshold = null_tol * (norm_bound if norm_bound > 0 else 1.0)
     if len(traced) != 1 or not all(bound > threshold for bound in gap_bounds):
         values = [
-            (np.linalg.svd(liouvillian_matrix(model, positions), compute_uv=False), count)
-            for positions, count in solved
+            (np.linalg.svd(block, compute_uv=False), count)
+            for block, count, *_rest in _stationary_blocks(model)
         ]
         scale = max(s[0] for s, _count in values)
         scale = scale if scale > 0 else 1.0

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from semiq import DegenerateStationaryState, DensityMatrix, NumericalFailure, OperatorMatrix, Polynomial
-from semiq.lindblad import NULL_TOL, POSITIVITY_TOL, RESIDUAL_TOL, _apply_stencil, liouvillian_matrix
+from semiq.lindblad import NULL_TOL, POSITIVITY_TOL, RESIDUAL_TOL, _apply_stencil, _sectors, liouvillian_matrix
 from semiq.models import MomentState, SpinPolynomial
 
 
@@ -315,6 +315,63 @@ def svd_stationary(model, null_tol=NULL_TOL, pos_tol=POSITIVITY_TOL):
     return DensityMatrix(
         OperatorMatrix(candidate, model.h.basis), pos_tol=pos_tol
     )
+
+
+def liouvillian_sectors(model):
+    """Column-stacked positions of each sector of the vectorized generator,
+    ascending within a sector, sectors ordered by their first position; the
+    generator is block diagonal over them (see lindblad._sectors)."""
+    return _sectors(model)[0]
+
+
+def complex_block_stationary(model, null_tol=NULL_TOL):
+    """Oracle for lindblad.stationary: one complex block per mirror pair of
+    sectors, whatever the stencil, with stationary's bordered inverse, gap
+    bounds and singular-value count.  Returns the Hermitized, unit-trace
+    null vector as a matrix."""
+    d = model.dim
+    sectors, sector_of = _sectors(model)
+    solved = []
+    for k, positions in enumerate(sectors):
+        cols, rows = np.divmod(positions, d)
+        mirror = sector_of[rows[0] * d + cols[0]]
+        if mirror >= k:
+            solved.append((positions, 1 if mirror == k else 2))
+    norm_bound = 0.0
+    gap_bounds = []
+    traced = []
+    for positions, _count in solved:
+        block = liouvillian_matrix(model, positions)
+        norm_bound = max(norm_bound, float(np.linalg.norm(block)))
+        diagonal = np.flatnonzero(positions % (d + 1) == 0)
+        if diagonal.size:
+            block[diagonal[0]] = 0.0
+            block[diagonal[0], diagonal] = 1.0
+        try:
+            inverse = np.linalg.inv(block)
+        except np.linalg.LinAlgError:
+            gap_bounds.append(0.0)
+            continue
+        gap_bounds.append(1.0 / float(np.linalg.norm(inverse)))
+        if diagonal.size:
+            traced.append((positions, inverse[:, diagonal[0]]))
+    threshold = null_tol * (norm_bound if norm_bound > 0 else 1.0)
+    if len(traced) != 1 or not all(bound > threshold for bound in gap_bounds):
+        values = [
+            (np.linalg.svd(liouvillian_matrix(model, positions), compute_uv=False), count)
+            for positions, count in solved
+        ]
+        scale = max(s[0] for s, _count in values)
+        scale = scale if scale > 0 else 1.0
+        null_dim = sum(count * int(np.sum(s <= null_tol * scale)) for s, count in values)
+        if null_dim != 1:
+            raise DegenerateStationaryState(null_dim)
+    positions, null = traced[0]
+    vector = np.zeros(d * d, dtype=complex)
+    vector[positions] = null
+    candidate = vector.reshape((d, d), order="F")
+    candidate = (candidate + candidate.conj().T) / 2.0
+    return candidate / np.trace(candidate).real
 
 
 def format_cell(cell) -> str:

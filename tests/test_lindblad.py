@@ -6,8 +6,10 @@ import pytest
 
 from helpers import (
     commutator_rhs,
+    complex_block_stationary,
     expm_samples,
     hermitian_rhs,
+    liouvillian_sectors,
     random_density,
     random_density_operator,
     random_hermitian,
@@ -30,7 +32,6 @@ from semiq import (
     expectation,
     lindblad_rhs,
     liouvillian_matrix,
-    liouvillian_sectors,
     number,
     stationary,
 )
@@ -677,6 +678,8 @@ SECTOR_CASES = {
     "limit-cycle-d30": (lambda: limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), 30), 2 * 30 - 1),
     "oscillator-d12": (lambda: oscillator_lindblad(OscillatorParams(1.0, 0.1), 12), 2),
     "spin-l5": (lambda: rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=5)), 2),
+    # a detuning joins the parity sectors
+    "spin-detuned-l4": (lambda: rotator_spin_model(RotatorParams(1.4, 1.0, 0.3, l=4)), 1),
 }
 
 
@@ -713,6 +716,97 @@ def test_stationary_counts_singular_values_when_bound_fails(monkeypatch):
     assert np.max(np.abs(state.mat - svd_stationary(model, null_tol=1e-3).mat)) <= 1e-12
 
 
+def real_two_channel_model(dim):
+    # H = i A with A real antisymmetric: K = A - sum_j R_j^T R_j is real
+    rng = np.random.default_rng(39)
+    a = rng.standard_normal((dim, dim))
+    channels = (0.5 * rng.standard_normal((dim, dim)), 0.3 * rng.standard_normal((dim, dim)))
+    return LindbladModel(OperatorMatrix(1j * (a - a.T)), tuple(OperatorMatrix(r) for r in channels))
+
+
+def stencil_is_real(model):
+    return not any(np.any(weight.imag) for _shift, _lo, _hi, weight in model._stencil)
+
+
+REAL_STENCIL_CASES = {
+    **{
+        f"spin-l{l:g}": (lambda l=l: rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=l)))
+        for l in [*range(1, 13), 2.5]
+    },
+    "spin-detuned-l6": lambda: rotator_spin_model(RotatorParams(1.4, 1.0, 0.3, l=6)),
+    "random-real-two-channel-d6": lambda: real_two_channel_model(6),
+    # omega = 0 leaves 2 d - 1 real diagonal sectors: d - 1 mirror pairs in float64
+    "limit-cycle-omega0-d12": lambda: limit_cycle_lindblad(LimitCycleParams(0.0, 1.0, 1.0), 12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REAL_STENCIL_CASES))
+def test_real_stencil_stationary_matches_oracles(case):
+    # solved in float64 halves, the state is the full SVD's to 1e-12 and
+    # that of one complex block per mirror pair to 1e-13
+    model = REAL_STENCIL_CASES[case]()
+    assert stencil_is_real(model)
+    state = stationary(model).mat
+    assert np.max(np.abs(state - svd_stationary(model).mat)) <= 1e-12
+    assert np.max(np.abs(state - complex_block_stationary(model))) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["spin-l3", "spin-l2.5", "spin-detuned-l6", "random-real-two-channel-d6",
+                                  "limit-cycle-omega0-d12"])
+def test_conjugation_halves_keep_singular_values(case):
+    # The halves are the sector blocks in an orthonormal basis: their
+    # singular values, each counted for the sectors it stands for, are the
+    # generator's.
+    model = REAL_STENCIL_CASES[case]()
+    values = []
+    for block, count, *_rest in lindblad._stationary_blocks(model):
+        assert block.dtype == np.float64
+        values += count * np.linalg.svd(block, compute_uv=False).tolist()
+    expected = np.linalg.svd(liouvillian_matrix(model), compute_uv=False)
+    assert len(values) == len(expected)
+    assert np.max(np.abs(np.sort(values)[::-1] - expected)) <= 1e-12 * expected[0]
+
+
+REAL_DEGENERATE_CASES = {
+    "dephasing-d10": (lambda: LindbladModel(OperatorMatrix(np.zeros((10, 10))), (number(10),)), 10),
+    # sigma_x (x) 1 fixes its commutant, 1 (x) (e_01 - e_10) among it: null
+    # directions in the antisymmetric halves
+    "sigma-x-pair-d4": (lambda: LindbladModel(
+        OperatorMatrix(np.zeros((4, 4))), (OperatorMatrix(np.kron([[0, 1], [1, 0]], np.eye(2))),)), 8),
+    # two decay ladders fix |0><0|, |4><4| and the mirror pair |0><4|, |4><0|
+    "two-decays-d8": (lambda: LindbladModel(
+        OperatorMatrix(np.zeros((8, 8))), (OperatorMatrix(np.kron(np.eye(2), annihilation(4).mat)),)), 4),
+    "scale-from-another-sector": (lambda: WEAK_DECAY_STRONG_DEPHASING, 2),
+}
+
+
+@pytest.mark.parametrize("null_tol", [lindblad.NULL_TOL, 1e-3])
+@pytest.mark.parametrize("case", sorted(REAL_DEGENERATE_CASES))
+def test_real_stencil_degeneracy_matches_svd_oracle(case, null_tol):
+    build, null_dim = REAL_DEGENERATE_CASES[case]
+    model = build()
+    assert stencil_is_real(model)
+    with pytest.raises(DegenerateStationaryState) as oracle:
+        svd_stationary(model, null_tol=null_tol)
+    with pytest.raises(DegenerateStationaryState) as excinfo:
+        stationary(model, null_tol=null_tol)
+    assert excinfo.value.null_dim == oracle.value.null_dim == null_dim
+
+
+def test_real_stencil_counts_singular_values_when_bound_fails(monkeypatch):
+    # At null_tol 1e-3 the l = 10 spin model's bounds cannot rule out a
+    # second null direction: the singular values of its four halves decide,
+    # and find one.
+    model = rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=10))
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args) or svd(*args, **kwargs))
+    state = stationary(model, null_tol=1e-3)
+    assert len(calls) == 4
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert np.max(np.abs(state.mat - svd_stationary(model, null_tol=1e-3).mat)) <= 1e-12
+
+
 MIRROR_CASES = {
     "limit-cycle-d12": lambda: limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), 12),
     "oscillator-d12": lambda: oscillator_lindblad(OscillatorParams(1.0, 0.1), 12),
@@ -741,19 +835,22 @@ def test_sector_mirror_block_is_conjugate(case):
 def test_stationary_solves_one_block_per_mirror_pair(monkeypatch):
     inv = np.linalg.inv
     calls = []
-    monkeypatch.setattr(np.linalg, "inv", lambda block: calls.append(block.shape) or inv(block))
-    # 2 d - 1 diagonal sectors, of which d - 1 mirror pairs and the main diagonal
+    monkeypatch.setattr(np.linalg, "inv", lambda block: calls.append((len(block), block.dtype)) or inv(block))
+    # 2 d - 1 diagonal sectors, of which d - 1 mirror pairs and the main
+    # diagonal; the stencil is complex, so each block is one complex inverse
     stationary(limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), 30))
-    assert len(calls) == 30
+    assert calls == [(30 - abs(s), np.complex128) for s in range(30)]
     calls.clear()
-    # the parity sectors are their own mirrors
+    # the parity sectors (221 and 220 positions) are their own mirrors, and
+    # the real stencil splits each into its symmetric and antisymmetric half
     stationary(rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=10)))
-    assert len(calls) == 2
+    assert calls == [(121, np.float64), (100, np.float64), (110, np.float64), (110, np.float64)]
 
 
 def test_stationary_independent_of_blas_threads():
-    # The l = 10 blocks have 221 rows, where a threaded OpenBLAS splits its
-    # sums by thread; stationary solves on one thread and gives the count back.
+    # The l = 10 halves have 100 to 121 rows, where a threaded OpenBLAS still
+    # splits its sums by thread; stationary solves on one thread and gives
+    # the count back.
     calls = _blas._openblas()
     if calls is None:
         pytest.skip("numpy does not call the OpenBLAS of its wheels")
