@@ -52,7 +52,6 @@ from .models import (
     classical_spin_flow,
     closure_stationary,
     closure_vs_exact_report,
-    cumulant_decouple,
     generating_function,
     kummer_phi,
     limit_cycle_faq,
@@ -92,10 +91,8 @@ from .quantize import (
     export_operator_csv,
     normal_quantize,
     number,
-    schwinger_spin,
     spin_operators,
     symmetrize_product,
-    tensor_embed,
     weyl_quantize,
 )
 

@@ -346,10 +346,12 @@ def _grid_problems(dt_key: str | None, resolved: dict) -> list[str]:
 def _params_problems(resolved: dict, model: str) -> list[str]:
     """Model parameters that the model's params dataclass rejects, at every
     point of the sweep grid over params keys, and the values a run's
-    baseline rejects: rotators spin sizes above the exact-solve limit, a
-    limit-cycle gain lambda that is not positive (recurrence_stationary
-    needs nu > 0), and a limit-cycle nu above KUMMER_X_MAX / 2 (mean_n and
-    mandel_q sum Phi at x = 2 nu)."""
+    baseline rejects: rotators spin sizes above the exact-solve limit and
+    a rotators detuning delta other than 0 (closure_vs_exact_report
+    compares at complete synchronization), a limit-cycle gain lambda that
+    is not positive (recurrence_stationary needs nu > 0), and a
+    limit-cycle nu above KUMMER_X_MAX / 2 (mean_n and mandel_q sum Phi at
+    x = 2 nu)."""
     experiment = resolved["experiment"]
     keys = [dotted for dotted in resolved["sweep"] if dotted.startswith("params.")]
     problems = []
@@ -373,6 +375,11 @@ def _params_problems(resolved: dict, model: str) -> list[str]:
         if experiment == "rotators" and params.l > models.EXACT_SPIN_L_MAX:
             problems.append(
                 f"{where}: params.l {params.l!r} exceeds the exact stationary solve limit l <= {models.EXACT_SPIN_L_MAX}"
+            )
+        if experiment == "rotators" and params.delta != 0.0:
+            problems.append(
+                f"{where}: params.omega1 {params.omega1!r} and params.omega2 {params.omega2!r} differ;"
+                " the closure comparison applies to delta = omega1 - omega2 = 0 only"
             )
     return problems
 

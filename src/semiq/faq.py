@@ -20,7 +20,10 @@ polynomials once, on first use: the per-mode drift, and the divergence of
 the drift, itself a real polynomial.  Every numeric value comes from the
 generated code of observables.  drift and phase_divergence evaluate on
 Python-scalar columns, and the FAQ check evaluates once over the columns
-of all its sample points.  The two flows share one body, _flow, over the
+of all its sample points.  Array products round at the last bit unlike
+scalar ones, so the check's max error moves at rounding level against a
+point-by-point loop, which the tests keep in tests/helpers.py and compare
+with it.  The two flows share one body, _flow, over the
 drift for classical_flow and the drift and the negated divergence for
 ensemble_weights, and record on the grid of integrate.  A nonlinear drift
 is one generated function of those polynomials that reads the coordinates
@@ -47,7 +50,7 @@ import numpy as np
 from ._csv import write_csv
 from .errors import FlowDiverged
 from .integrate import _linear_path, rk4_path
-from .observables import PhasePoint, Polynomial, _as_coords, _columns, _compile, _coordinate_reads
+from .observables import Polynomial, _as_coords, _columns, _compile, _coordinate_reads
 
 __all__ = [
     "FaqSystem",
@@ -138,13 +141,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def point(self, index: int) -> PhasePoint:
-        return PhasePoint(self.states[index])
-
-    @property
-    def final(self) -> PhasePoint:
-        return PhasePoint(self.states[-1])
 
 
 @dataclass(frozen=True)
@@ -280,7 +276,8 @@ def phase_divergence(system: FaqSystem, point) -> float:
 
 
 # A weight must lie strictly between tiny and 1/tiny, tiny the smallest
-# normal float.
+# normal float, so that it is never written as inf, 0 or a subnormal and
+# summary.json stays standard JSON.
 _LOG_WEIGHT_LIMIT = -float(np.log(np.finfo(float).tiny))
 
 

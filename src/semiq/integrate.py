@@ -2,7 +2,8 @@
 linear field on the same time grid.
 
 Deliberately minimal: RK4 with a fixed step and no adaptivity, so repeated
-runs are bit-reproducible and regression tests stay byte-stable.
+runs are bit-reproducible and regression tests stay byte-stable; the
+worked models are smooth at desk scale.
 
 A state is a tuple of Python scalars, one point's coordinates (the
 classical flows of faq and models), and its field returns a tuple of the
@@ -34,11 +35,17 @@ oscillator it drifted 5.7e-14 from the closed form, against 1.6e-15 for
 y + E y and 7.7e-15 for RK4.
 
 The time grid is round(t_end / dt) steps of dt: dt <= 0, t_end < 0 and a
-non-finite t_end, dt or step count are rejected with ValueError.  Both
-paths here and lindblad.evolve record at t = 0 and after every k steps and
-the last, at the times step * dt (_record_grid); k is a whole number of at
-least 1, or a ValueError names its parameter.  evolve's default k is
+non-finite t_end, dt or step count are rejected with ValueError, where
+they would otherwise surface as a raw OverflowError or, for dt = inf, as
+a path of no steps.  Both paths here and lindblad.evolve record at t = 0
+and after every k steps and the last, at the times step * dt
+(_record_grid); k is a whole number of at least 1, or a ValueError names
+its parameter, since an interval such as 2.5 or nan would record off the
+dt grid or fail later under a misleading name.  evolve's default k is
 max(1, n_steps // 200), about 200 samples a run (_default_sample_every).
+The oscillator run works out its k once and passes it to both evolve and
+faq.ensemble_weights, so its Ehrenfest check compares the two at the same
+times.
 """
 
 from __future__ import annotations

@@ -21,7 +21,11 @@ operator X, and M is the one form of the generator the package applies:
 lindblad_rhs takes the two passes M(X) + M(X+)+, and evolve, whose rho is
 Hermitian to the last bit, and the stationary residual, on its Hermitized
 candidate, the one pass M(X) + M(X)+.  On an exactly Hermitian X the two
-agree bit for bit and are Hermitian to the last bit.
+agree bit for bit and are Hermitian to the last bit.  The formula
+K rho + (K rho)+ + 2 sum_j R_j rho R_j+ is not used: it drops K's damping
+of the anti-Hermitian part of rho but keeps the R_j rho R_j+ feed, so
+rounding error grows until configs/oscillator.json fails the Hermiticity
+check.
 
 M is applied as a shift stencil rather than by matrix products.  Each
 operator is a few non-zero diagonals, since every quantized monomial moves
@@ -102,20 +106,30 @@ either.  min_eigenvalue is thus the smallest eigenvalue computed, and
 min_eigenvalue_bound, the lower of it and -2 sigma over the passed
 screens, bounds the eigenvalues of every sample.
 
-Stationary states are solved per sector of the vectorized generator, one
-block per mirror pair.  The generator maps rho+ to L(rho)+, so the
-transposed positions (i, j) -> (j, i) of a sector form a sector whose block
-is the conjugate of the first after permuting rows and columns alike; both
-have the same singular values.  The block of a sector that holds diagonal
+The sectors of the vectorized generator are the connected components of
+its sparsity pattern, read from the supports of K and of each R_j without
+forming the matrix (_sectors); the generator is block diagonal over them,
+weak symmetries in the sense of Buca and Prosen (New J. Phys. 14, 073007
+(2012)).  A symmetry shows only where the basis puts exact zeros.  A basis
+rotated by a numerical eigensolver would not do: its 1e-17 fill joins
+every sector into one.  So the spin rotator's axes are the standard spin
+matrices relabelled cyclically (models.rotator_spin_operators): its
+channel is one diagonal, its Hamiltonian at delta = 0 moves the index by
++-2, and its generator splits into i - j even and i - j odd.
+
+Stationary states are solved per sector, one block per mirror pair.  The
+generator maps rho+ to L(rho)+, so the transposed positions
+(i, j) -> (j, i) of a sector form a sector whose block is the conjugate
+of the first after permuting rows and columns alike; both have the same
+singular values.  The block of a sector that holds diagonal
 positions is its own mirror.  A number-covariant model such as the limit
 cycle has 2 dim - 1 sectors but dim such pairs, so it takes dim block
 inverses.
 
 When every weight of the stencil is exactly real, M maps conj X to
 conj M(X), so L commutes with the entrywise conjugation, an antiunitary
-weak symmetry in the sense of Buca and Prosen (New J. Phys. 14, 073007
-(2012)), and, with X -> X+, with the transpose.  The generator's matrix is
-then real.  A mirror pair's block is inverted in float64, and a
+weak symmetry, and, with X -> X+, with the transpose.  The generator's
+matrix is then real.  A mirror pair's block is inverted in float64, and a
 self-mirror sector splits into its symmetric and antisymmetric halves, two
 real blocks of about half its size (see stationary).  Each half is built
 from the sector's block by adding and subtracting the rows and columns of

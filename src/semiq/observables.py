@@ -20,9 +20,11 @@ Numeric evaluation runs generated code.  `_compile` writes one Python
 function f(y) for a tuple of term maps; it returns one value per map, each
 the sum 0j + K[i] * v3 ** 2 * v4 ** 1 + ... over the terms in map order,
 the factors of a term in variable order, with the variables numbered in
-key order z_1, z*_1, z_2, z*_2, ....  The source names only variable
-indices and exponents; the coefficients are bound by value as the tuple K,
-so polynomials of one shape share one code object.  A prologue reads each
+key order z_1, z*_1, z_2, z*_2, ....  That is the operation sequence of
+a loop over the terms, so every value is bit for bit the loop's; the
+tests keep that loop as the oracle (tests/helpers.py).  The source names
+only variable indices and exponents; the coefficients are bound by value
+as the tuple K, so polynomials of one shape share one code object.  A prologue reads each
 variable in use from y: a column of `_columns` for polynomial evaluation,
 or a coordinate of a flow's tuple state and its conjugate.  A column is a
 Python scalar for one point or a numpy array for N points; the same code

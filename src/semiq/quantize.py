@@ -33,11 +33,9 @@ __all__ = [
     "number",
     "weyl_quantize",
     "normal_quantize",
-    "schwinger_spin",
     "spin_operators",
     "symmetrize_product",
     "commutator",
-    "tensor_embed",
     "export_operator_csv",
 ]
 
@@ -225,41 +223,6 @@ def weyl_quantize(poly, space: FockSpace) -> OperatorMatrix:
         term = term.contraction() * (0.5 / n)
         symbol = symbol + term
     return normal_quantize(symbol, space)
-
-
-def tensor_embed(op: OperatorMatrix, mode: int, space: FockSpace) -> OperatorMatrix:
-    """Embed a single-mode operator at the given mode, identity elsewhere."""
-    if not 0 <= mode < space.n_modes:
-        raise ValueError(f"mode {mode} out of range")
-    if op.dim != space.mode_dims[mode]:
-        raise ValueError(
-            f"operator dim {op.dim} does not match mode dim {space.mode_dims[mode]}"
-        )
-    out = np.array([[1.0 + 0j]])
-    for a, dim in enumerate(space.mode_dims):
-        out = np.kron(out, op.mat if a == mode else np.eye(dim, dtype=complex))
-    return OperatorMatrix(out, space)
-
-
-def schwinger_spin(space: FockSpace) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-    """Angular momentum bilinears of two Bose modes.
-
-    l_x = (a1+ a2 + a2+ a1)/2, l_y = i(a2+ a1 - a1+ a2)/2,
-    l_z = (a1+ a1 - a2+ a2)/2.  They commute with the total number operator;
-    each total-occupation block carries the spin-(N/2) representation.
-    """
-    if space.n_modes != 2:
-        raise ValueError("the Schwinger construction needs exactly two modes")
-    a1 = tensor_embed(annihilation(space.mode_dims[0]), 0, space).mat
-    a2 = tensor_embed(annihilation(space.mode_dims[1]), 1, space).mat
-    lx = (a1.conj().T @ a2 + a2.conj().T @ a1) / 2.0
-    ly = 1j * (a2.conj().T @ a1 - a1.conj().T @ a2) / 2.0
-    lz = (a1.conj().T @ a1 - a2.conj().T @ a2) / 2.0
-    return (
-        OperatorMatrix(lx, space),
-        OperatorMatrix(ly, space),
-        OperatorMatrix(lz, space),
-    )
 
 
 def spin_operators(rep: SpinRep) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:

@@ -289,6 +289,8 @@ def oscillator_with(key, value):
     (rotators_config(l=10.3), "2l must be integral"),
     (rotators_config(**{"lambda": -0.3}), "lam must be positive"),
     (rotators_config(l=EXACT_SPIN_L_MAX + 1), "exact stationary solve limit"),
+    (rotators_config(omega2=1.5), "applies to delta = omega1 - omega2 = 0 only"),
+    (dict(rotators_config(), sweep={"params.omega2": [1.0, 1.5]}), "sweep point params.omega2=1.5"),
     (rotators_config("conformance", l=0.5), "spin l must be at least 1"),
     (limit_cycle_with("params", "mu", 0), "mu must be positive"),
     (limit_cycle_config(sweep={"params.mu": [1.0, 0.0]}), "params.mu=0.0"),
@@ -319,7 +321,8 @@ def oscillator_with(key, value):
         "alpha-three-numbers", "alpha-string", "sweep-alpha-one-number", "inf-string", "nan-string", "bool-for-real",
         "sweep-nan", "zero-step", "negative-t-end", "nan-initial", "bool-initial",
         "rotators-half-spin", "rotators-fractional-2l", "rotators-negative-lambda",
-        "rotators-above-limit", "conformance-half-spin", "limit-cycle-zero-mu", "sweep-zero-mu",
+        "rotators-above-limit", "rotators-detuned", "sweep-rotators-detuned", "conformance-half-spin",
+        "limit-cycle-zero-mu", "sweep-zero-mu",
         "limit-cycle-zero-lambda", "sweep-zero-lambda", "limit-cycle-nu-above-series-limit",
         "sweep-nu-above-series-limit",
         "limit-cycle-dim-below-min", "sweep-limit-cycle-dim-below-min", "n-max-below-min",
@@ -356,6 +359,15 @@ def test_off_grid_step_named_beside_bad_value(tmp_path, capsys):
 
 def test_rotators_limit_is_the_exact_solve_limit():
     assert validate_config(rotators_config(l=EXACT_SPIN_L_MAX)) == []
+
+
+def test_detuning_is_rejected_for_rotators_only():
+    """The closure comparison needs delta = 0; the conformance report is
+    detuned on purpose and stays valid."""
+    [problem] = validate_config(dict(rotators_config(), sweep={"params.omega2": [1.0, 1.5]}))
+    assert "params.omega2=1.5" in problem and "params.omega2=1.0" not in problem
+    assert validate_config(json.loads(SHIPPED["conformance.json"].read_text())) == []
+    assert validate_config(rotators_config("conformance", omega2=1.5)) == []
 
 
 def test_limit_cycle_nu_limit_is_the_series_limit():

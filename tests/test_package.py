@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +30,26 @@ def test_import_loads_no_scipy():
     code = f"import sys; import {', '.join(MODULES)}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_readme_pointers_resolve():
+    """Every backticked `module.name` in README.md, private names included,
+    names something in semiq, so that a rename cannot leave README stale."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    modules = "|".join(re.escape(name.split(".")[1]) for name in MODULES)
+    pointers = re.findall(rf"`((?:semiq\.|(?:{modules})\.)[A-Za-z_][\w.]*)`", readme)
+    assert len(pointers) >= 16
+
+    def resolves(pointer):
+        parts = pointer.removeprefix("semiq.").split(".")
+        try:
+            target = importlib.import_module(f"semiq.{parts[0]}")
+        except ModuleNotFoundError:
+            return False
+        for part in parts[1:]:
+            if not hasattr(target, part):
+                return False
+            target = getattr(target, part)
+        return True
+
+    assert [pointer for pointer in pointers if not resolves(pointer)] == []

@@ -18,10 +18,8 @@ from semiq import (
     normal_quantize,
     number,
     poisson_bracket,
-    schwinger_spin,
     spin_operators,
     symmetrize_product,
-    tensor_embed,
     weyl_quantize,
 )
 
@@ -263,89 +261,7 @@ def test_spin_rep_validation():
     assert SpinRep(1.5).dim == 4
 
 
-# -- Schwinger construction ----------------------------------------------------------
-
-
-def test_schwinger_commutator_on_low_blocks():
-    space = FockSpace((7, 7))
-    lx, ly, lz = schwinger_spin(space)
-    gap = commutator(lx, ly).mat - 1j * lz.mat
-    cut = min(space.mode_dims) - 1
-    idx = [i for i in range(space.total_dim) if sum(space.occupation(i)) < cut]
-    assert np.max(np.abs(gap[np.ix_(idx, idx)])) <= 1e-13
-
-
-def test_schwinger_lz_is_diagonal():
-    space = FockSpace((5, 6))
-    _lx, _ly, lz = schwinger_spin(space)
-    occ = [space.occupation(i) for i in range(space.total_dim)]
-    expected = np.diag([(n1 - n2) / 2 for n1, n2 in occ]).astype(complex)
-    assert np.max(np.abs(lz.mat - expected)) <= 1e-13
-    off = lz.mat - np.diag(np.diag(lz.mat))
-    assert np.max(np.abs(off)) == 0.0
-
-
-def test_schwinger_conserves_total_number():
-    space = FockSpace((6, 6))
-    n_total = (
-        tensor_embed(number(6), 0, space).mat + tensor_embed(number(6), 1, space).mat
-    )
-    for op in schwinger_spin(space):
-        assert np.max(np.abs(op.mat @ n_total - n_total @ op.mat)) <= 1e-13
-
-
-def test_schwinger_casimir_blocks():
-    space = FockSpace((7, 7))
-    lx, ly, lz = schwinger_spin(space)
-    casimir = (lx @ lx + ly @ ly + lz @ lz).mat
-    for total in range(min(space.mode_dims)):
-        idx = [i for i in range(space.total_dim) if sum(space.occupation(i)) == total]
-        block = casimir[np.ix_(idx, idx)]
-        value = (total / 2) * (total / 2 + 1)
-        assert np.max(np.abs(block - value * np.eye(len(idx)))) <= 1e-12
-
-
-def test_schwinger_matches_weyl_of_bilinears():
-    space = FockSpace((6, 7))
-    z1, z1c = Polynomial.z(0, 2), Polynomial.zc(0, 2)
-    z2, z2c = Polynomial.z(1, 2), Polynomial.zc(1, 2)
-    polys = (
-        0.5 * (z1c * z2 + z2c * z1),
-        0.5j * (z2c * z1 - z1c * z2),
-        0.5 * (z1 * z1c - z2 * z2c),
-    )
-    built = schwinger_spin(space)
-    interior = [
-        i
-        for i in range(space.total_dim)
-        if all(n < d - 1 for n, d in zip(space.occupation(i), space.mode_dims))
-    ]
-    for poly, op in zip(polys, built):
-        gap = weyl_quantize(poly, space).mat - op.mat
-        assert np.max(np.abs(gap[np.ix_(interior, interior)])) <= 1e-13
-
-
-def test_schwinger_blocks_match_spin_operators():
-    """Each total-N block is unitarily equivalent to the spin-(N/2) matrices;
-    compare spectra component by component."""
-    space = FockSpace((8, 8))
-    schwinger = schwinger_spin(space)
-    for total in (2, 5, 7):
-        idx = [i for i in range(space.total_dim) if sum(space.occupation(i)) == total]
-        spins = spin_operators(SpinRep(total / 2))
-        for big, small in zip(schwinger, spins):
-            block = big.mat[np.ix_(idx, idx)]
-            eigs_block = np.sort(np.linalg.eigvalsh((block + block.conj().T) / 2))
-            eigs_spin = np.sort(np.linalg.eigvalsh(small.mat))
-            assert np.max(np.abs(eigs_block - eigs_spin)) <= 1e-10
-
-
-def test_schwinger_requires_two_modes():
-    with pytest.raises(ValueError):
-        schwinger_spin(FockSpace((4,)))
-
-
-# -- products and embedding -----------------------------------------------------------
+# -- products -----------------------------------------------------------
 
 
 def test_symmetrize_pair():
@@ -367,21 +283,6 @@ def test_symmetrize_validation():
         symmetrize_product([])
     with pytest.raises(ValueError):
         symmetrize_product([number(4), number(5)])
-
-
-def test_tensor_embed_dimension_and_action():
-    space = FockSpace((3, 4))
-    embedded = tensor_embed(annihilation(3), 0, space)
-    assert embedded.dim == 12
-    for n1 in range(1, 3):
-        for n2 in range(4):
-            row = space.index((n1 - 1, n2))
-            col = space.index((n1, n2))
-            assert embedded.mat[row, col] == pytest.approx(np.sqrt(n1))
-    with pytest.raises(ValueError):
-        tensor_embed(annihilation(4), 0, space)
-    with pytest.raises(ValueError):
-        tensor_embed(annihilation(3), 2, space)
 
 
 def test_fock_space_indexing_round_trip():

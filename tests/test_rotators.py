@@ -1,17 +1,12 @@
-from math import factorial
-
 import numpy as np
 import pytest
 
 from helpers import newton_closure, random_spin_polynomial, spin_evaluate_by_terms
 from semiq import (
-    DensityMatrix,
-    FockSpace,
     classical_flow,
     expectation,
     lindblad_rhs,
     sample_phase_points,
-    schwinger_spin,
     stationary,
     verify_faq,
 )
@@ -24,7 +19,6 @@ from semiq.models import (
     classical_spin_flow,
     closure_stationary,
     closure_vs_exact_report,
-    cumulant_decouple,
     ly2_analytic,
     moment_equations_conformance,
     phase_model_flow,
@@ -196,55 +190,6 @@ def test_spin_flow_matches_two_mode_flow():
 def test_spin_flow_rejects_complex_hamiltonian():
     with pytest.raises(ValueError):
         classical_spin_flow(SpinPolynomial({(1, 0, 0): 1j}), SpinPolynomial({}), [1, 0, 0], 1.0, 0.1)
-
-
-# -- cumulant decoupling --------------------------------------------------------------
-
-
-def test_decouple_vanishing_singles():
-    pairs = {("a", "b"): 0.7, ("b", "c"): -0.2, ("a", "c"): 0.1}
-    singles = {"a": 0.0, "b": 0.0, "c": 0.0}
-    assert cumulant_decouple(pairs, singles, ("a", "b", "c")) == 0.0
-
-
-def test_decouple_gaussian_third_moment():
-    m, s = 0.8, 1.7
-    pairs = {("a", "a"): s}
-    singles = {"a": m}
-    value = cumulant_decouple(pairs, singles, ("a", "a", "a"))
-    assert value == pytest.approx(3 * s * m - 2 * m**3, rel=1e-12)
-
-
-def test_decouple_missing_moment_is_named():
-    with pytest.raises(KeyError, match="ab"):
-        cumulant_decouple({}, {"a": 1.0, "b": 1.0, "c": 1.0}, ("a", "b", "c"))
-
-
-def test_decouple_on_factorized_coherent_state():
-    """Product coherent states are nearly Gaussian in the angular-momentum
-    bilinears, so the decoupling tracks exact triples to a few percent."""
-    d = 25
-    space = FockSpace((d, d))
-    lx, ly, lz = schwinger_spin(space)
-    ops = {"x": lx, "y": ly, "z": lz}
-    amps = np.array(
-        [2.4**n / np.sqrt(float(factorial(n))) for n in range(d)], dtype=complex
-    )
-    amps2 = np.array(
-        [1.9**n / np.sqrt(float(factorial(n))) for n in range(d)], dtype=complex
-    )
-    vec = np.kron(amps / np.linalg.norm(amps), amps2 / np.linalg.norm(amps2))
-    rho = DensityMatrix.pure_state(vec, space)
-    singles = {name: expectation(rho, op) for name, op in ops.items()}
-    pairs = {
-        (na, nb): expectation(rho, opa @ opb)
-        for na, opa in ops.items()
-        for nb, opb in ops.items()
-    }
-    for triple in (("x", "x", "x"), ("z", "z", "z"), ("x", "x", "z")):
-        exact = expectation(rho, ops[triple[0]] @ ops[triple[1]] @ ops[triple[2]])
-        approx = cumulant_decouple(pairs, singles, triple)
-        assert abs(approx - exact) <= 0.05 * abs(exact)
 
 
 # -- stationary closure ----------------------------------------------------------------
