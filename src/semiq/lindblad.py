@@ -37,7 +37,11 @@ summed into one weight, which is zero wherever the shift leaves the
 matrix, so a read that wraps to another row adds nothing.  Each of the P
 distinct shifts costs two element-wise operations on a contiguous slice,
 O(P d^2) in all.  A dense operator makes P ~ d^2, so the stencil suits the
-banded generators that quantized polynomials give.
+banded generators that quantized polynomials give.  L's own stencil, built
+once per model from M's (LindbladModel._generator), is the one source of
+L's entries: its 1-norm, its sectors and the blocks of liouvillian_matrix
+are read off it.  evolve and the stationary residual apply M, whose one
+pass m gives L = m + m+ exactly Hermitian.
 
 L is linear and constant in time, and evolve needs rho only at its
 samples, tau = sample_every dt apart.  So it applies exp(s L) to rho as
@@ -50,7 +54,7 @@ Rev. 45, 3 (2003)).
   (_spans).  An interval longer than that is split into the fewest equal
   substeps within the bound, each a series of its own.  ||L||_1 is the
   largest column sum of |L| as a matrix on the flat view of X, read off
-  the stencil weights (LindbladModel._norm); no dense generator is built.
+  L's stencil (LindbladModel._norm); no dense generator is built.
 - The terms are u_0 = rho and u_k = h L(u_(k-1)), so t_k = u_k / k! is
   the k-th Taylor term at the span's far end.  Each is one pass of the
   stencil with its weights scaled by h, one copy per span: m = h M(u_(k-1)),
@@ -107,12 +111,12 @@ min_eigenvalue_bound, the lower of it and -2 sigma over the passed
 screens, bounds the eigenvalues of every sample.
 
 The sectors of the vectorized generator are the connected components of
-its sparsity pattern, read from the supports of K and of each R_j without
-forming the matrix (_sectors); the generator is block diagonal over them,
-weak symmetries in the sense of Buca and Prosen (New J. Phys. 14, 073007
-(2012)).  A symmetry shows only where the basis puts exact zeros.  A basis
-rotated by a numerical eigensolver would not do: its 1e-17 fill joins
-every sector into one.  So the spin rotator's axes are the standard spin
+its sparsity pattern, read from the non-zero weights of L's stencil
+(_sectors); the generator is block diagonal over them, weak symmetries in
+the sense of Buca and Prosen (New J. Phys. 14, 073007 (2012)).  A symmetry
+shows only where the basis puts exact zeros.  A basis rotated by a
+numerical eigensolver would not do: its 1e-17 fill joins every sector into
+one.  So the spin rotator's axes are the standard spin
 matrices relabelled cyclically (models.rotator_spin_operators): its
 channel is one diagonal, its Hamiltonian at delta = 0 moves the index by
 +-2, and its generator splits into i - j even and i - j odd.
@@ -126,20 +130,20 @@ positions is its own mirror.  A number-covariant model such as the limit
 cycle has 2 dim - 1 sectors but dim such pairs, so it takes dim block
 inverses.
 
-When every weight of the stencil is exactly real, M maps conj X to
-conj M(X), so L commutes with the entrywise conjugation, an antiunitary
-weak symmetry, and, with X -> X+, with the transpose.  The generator's
-matrix is then real.  A mirror pair's block is inverted in float64, and a
+When every entry of L is exactly real, L maps conj X to conj L(X), so it
+commutes with the entrywise conjugation, an antiunitary weak symmetry,
+and, with X -> X+, with the transpose.  L's stencil is then float64, and
+so is its matrix.  A mirror pair's block is inverted in float64, and a
 self-mirror sector splits into its symmetric and antisymmetric halves, two
 real blocks of about half its size (see stationary).  Each half is built
 from the sector's block by adding and subtracting the rows and columns of
 each pair (p, mirror p), O(n^2) against the O(n^3) inverse.  A complex
 flop costs about four real ones, so the two real halves together take
 about a sixteenth of the flops of the complex inverse.  The spin rotator
-model has a real stencil at any detuning: at l = 10 its parity sectors of
-221 and 220 positions give halves of 121, 100, 110 and 110 rows.  The
-oscillator and the limit cycle at omega != 0 do not, and keep their
-complex blocks.
+model has a real L at any detuning, and keeps it with a multiple of 1
+added to H, which makes K complex: at l = 10 its parity sectors of 221 and
+220 positions give halves of 121, 100, 110 and 110 rows.  The oscillator
+and the limit cycle at omega != 0 do not, and keep their complex blocks.
 
 stationary and evolve run on one thread of numpy's OpenBLAS
 (_blas.blas_threads) and restore the thread count after.  A threaded LU or
@@ -148,12 +152,12 @@ depend on the thread count: the inverses of the spin rotator's bordered
 halves at l = 10 differ by up to 8e-15 relative between one and two
 threads.  A threaded call also waits for a core whenever another BLAS pool
 in the process spins, as scipy's does for a while after its own calls.  On
-a 2-core VM a whole rotators.json run, l = 1..10, took 0.065 or 0.145 s
-with two threads when it followed scipy calls, against about 0.05 s on one
-thread either way and 0.04 s on two without them (with the complex blocks
-solved before the split).  Complex blocks of 441 rows inverted faster on
-two threads (19 against 31 ms); real ones gain less (13 against 16 ms at
-441 rows), and the spin model's halves reach that size only at l = 20.
+a 2-core VM a whole rotators.json run, l = 1..10, took 0.09 s (0.02 to
+0.14 s) with two threads when it followed scipy calls, against 0.02-0.025 s
+on one thread either way and on two without them (medians of 15 runs).
+Complex blocks of 441 rows inverted faster on two threads (19 against 31
+ms); real ones gain less (13 against 16 ms at 441 rows), and the spin
+model's halves reach that size only at l = 20.
 evolve's screen is one small factorization a sample, which threads only
 slow down: on the same VM (numpy 2.4.6, OpenBLAS 0.3.31) the Cholesky
 factor of a d = 80 oscillator sample took 69 us on one thread and 111 us
@@ -308,15 +312,15 @@ class LindbladModel:
         return _make_stencil(self)
 
     @cached_property
-    def _norm(self) -> float:
-        """||L||_1: the largest column sum of |L| as a matrix on the flat
-        view of X, read off the stencil.  L(X) = M(X) + M'(X) with
-        M'(X) = M(X+)+, whose entry at flat (q, p) is the conjugate of the
-        entry of M at the transposed positions.  An entry of M at shift
+    def _generator(self) -> tuple[np.ndarray, np.ndarray]:
+        """L on the row-major flat view of X as (shifts, weights), weights of
+        shape (P, d^2): L(X).flat[q] = sum_p weights[p, q] X.flat[q + shifts[p]],
+        float64 when every entry of L is exactly real.  L(X) = M(X) + M'(X)
+        with M'(X) = M(X+)+, whose entry at flat (q, p) is the conjugate of
+        the entry of M at the transposed positions.  An entry of M at shift
         s = a d + b (0 <= b < d) moves (i, j) by (a, b), or by (a + 1, b - d)
         where j + b passes the row end, so M' holds it at shift b d + a or
-        (b - d) d + a + 1.  The entries of each shift are summed along the
-        rows, then added into the column sums."""
+        (b - d) d + a + 1."""
         d = self.dim
         transposed = np.arange(d * d).reshape(d, d).T.ravel()  # flat (i, j) -> flat (j, i)
         by_shift: dict[int, np.ndarray] = {}
@@ -332,8 +336,17 @@ class LindbladModel:
             carry = rows % d >= d - b
             add(b * d + a, transposed[rows[~carry]], weight[~carry].conj())
             add((b - d) * d + a + 1, transposed[rows[carry]], weight[carry].conj())
+        real = not any(np.any(values.imag) for values in by_shift.values())
+        weights = np.array([values.real if real else values for values in by_shift.values()])
+        return np.array(list(by_shift), dtype=np.intp), weights.reshape(-1, d * d)
+
+    @cached_property
+    def _norm(self) -> float:
+        """||L||_1: the largest column sum of |L| as a matrix on the flat
+        view of X, read off _generator."""
+        d = self.dim
         sums = np.zeros(d * d)
-        for shift, values in by_shift.items():
+        for shift, values in zip(self._generator[0].tolist(), self._generator[1]):
             sums[max(0, shift):d * d + min(0, shift)] += np.abs(values[max(0, -shift):d * d - max(0, shift)])
         return float(sums.max())
 
@@ -669,9 +682,9 @@ def _sectors(model: LindbladModel) -> tuple[list[np.ndarray], np.ndarray]:
     and the index of the sector of each position.
 
     A sector is a connected component of the generator's sparsity pattern,
-    found from the supports of K and of each R_j without forming the
-    matrix; the generator is block diagonal over the sectors.  Positions
-    are ascending within a sector and sectors are ordered by their first
+    read from the non-zero weights of L's stencil (LindbladModel._generator);
+    the generator is block diagonal over the sectors.  Positions are
+    ascending within a sector and sectors are ordered by their first
     position.  A number-covariant model such as the limit cycle splits
     into the 2 dim - 1 diagonals i - j = s of rho.  A model whose H moves
     the basis index by even amounts only, and each of whose channels moves
@@ -682,19 +695,10 @@ def _sectors(model: LindbladModel) -> tuple[list[np.ndarray], np.ndarray]:
     positions (i, j) -> (j, i) of a sector form one sector, its mirror.
     """
     d = model.dim
-    index = np.arange(d)
-    k_rows, k_cols = np.nonzero(model._k)
-    # K rho joins (i, j) to (k, j) where K_ki != 0; rho K+ joins (i, j) to
-    # (i, l) where K_lj != 0; R rho R+ joins (i, j) to (k, l) where R_ki and
-    # R_lj are both non-zero.
-    src = [(k_cols[:, None] + d * index).ravel(), (index[:, None] + d * k_cols).ravel()]
-    dst = [(k_rows[:, None] + d * index).ravel(), (index[:, None] + d * k_rows).ravel()]
-    for r in model._channel_mats:
-        rows, cols = np.nonzero(r)
-        src.append((cols[:, None] + d * cols).ravel())
-        dst.append((rows[:, None] + d * rows).ravel())
-    src = np.concatenate(src)
-    dst = np.concatenate(dst)
+    shifts, weights = model._generator
+    which, rows = np.nonzero(weights)
+    stacked = np.arange(d * d).reshape(d, d).T.ravel()  # row-major flat (i, j) -> i + d j
+    src, dst = stacked[rows + shifts[which]], stacked[rows]
     # Label propagation with pointer jumping: each label is a position in
     # the same component and only decreases, so it ends at the component's
     # smallest position.
@@ -718,19 +722,20 @@ def liouvillian_matrix(model: LindbladModel, positions: np.ndarray | None = None
         L[(k,l),(i,j)] = K_ki d_lj + d_ki conj(K_lj) + 2 sum_m (R_m)_ki conj((R_m)_lj)
 
     with K = -i H - sum_m R_m+ R_m the effective Hamiltonian and d the
-    Kronecker delta.
+    Kronecker delta.  They are read off L's stencil
+    (LindbladModel._generator): float64 when all are real, else complex.
     """
     d = model.dim
+    shifts, weights = model._generator
     positions = np.arange(d * d) if positions is None else np.asarray(positions)
-    cols, rows = np.divmod(positions, d)
-
-    def entries(op, index):  # op[index[a], index[b]]; two takes beat one fancy index
-        return op.take(index, 0).take(index, 1)
-
-    out = entries(model._k, rows) * (cols[:, None] == cols)
-    out += (rows[:, None] == rows) * entries(model._k.conj(), cols)
-    for r in model._channel_mats:
-        out += entries(r, rows) * entries(2.0 * r.conj(), cols)
+    flat = positions % d * d + positions // d  # the row-major flat index of each position
+    index = np.full(d * d, -1)
+    index[flat] = np.arange(len(flat))  # the block row of each flat position, -1 outside
+    which, row = np.nonzero(weights[:, flat])
+    col = index[flat[row] + shifts[which]]
+    inside = col >= 0
+    out = np.zeros((len(flat), len(flat)), dtype=weights.dtype)
+    out[row[inside], col[inside]] = weights[which[inside], flat[row[inside]]]
     return out
 
 
@@ -742,15 +747,13 @@ def _stationary_blocks(model: LindbladModel):
     which maps a vector x of the block to the values at positions of the
     sector vector it stands for.
 
-    One block stands for each mirror pair of sectors.  When every stencil
-    weight is real, the generator's matrix is real: a mirror pair's block
-    is taken in float64, and a self-mirror sector gives its symmetric and
-    its antisymmetric half (see stationary), with the rows and columns of
-    each pair (p, mirror p) combined.  The symmetric half orders the
-    diagonal positions first, then the pairs.
+    One liouvillian_matrix block stands for each mirror pair of sectors.
+    When every entry of L is real, it is float64, and a self-mirror sector
+    gives its symmetric and its antisymmetric half (see stationary), with
+    the rows and columns of each pair (p, mirror p) combined.  The
+    symmetric half orders the diagonal positions first, then the pairs.
     """
     d = model.dim
-    real = not any(np.any(weight.imag) for _shift, _lo, _hi, weight in model._stencil)
     sectors, sector_of = _sectors(model)
     for k, positions in enumerate(sectors):
         cols, rows = np.divmod(positions, d)
@@ -760,9 +763,7 @@ def _stationary_blocks(model: LindbladModel):
             continue
         block = liouvillian_matrix(model, positions)
         diagonal = np.flatnonzero(rows == cols)
-        if real:
-            block = block.real
-        if not real or mirror != k:
+        if mirror != k or block.dtype != np.float64:
             yield block, (1 if mirror == k else 2), positions, diagonal, np.copy
             continue
         partner = np.searchsorted(positions, mirrored)  # the index of each position's mirror
@@ -808,26 +809,24 @@ def stationary(model: LindbladModel, null_tol: float = NULL_TOL, pos_tol: float 
     RESIDUAL_TOL, or an eigenvalue below -pos_tol (rounding or a broken
     model, as in evolve), raises NumericalFailure.
 
-    Each block is solved once per mirror pair of sectors.  The block of a
-    sector's mirror is the entrywise conjugate of its own after permuting
-    rows and columns alike, so it has the same norm, singular values and
-    bound; a sector with diagonal positions is its own mirror.  A
+    One block, one liouvillian_matrix call, is solved per mirror pair of
+    sectors.  The block of a sector's mirror is the entrywise conjugate of
+    its own after permuting rows and columns alike, so it has the same
+    norm, singular values and bound; a sector with diagonal positions is
+    its own mirror.  A
     number-covariant model thus takes dim inverses instead of 2 dim - 1.
 
-    When every weight of the model's stencil is exactly real, M(conj X) =
-    conj M(X), so L commutes with X -> conj X and, since it maps X+ to
-    L(X)+, with the transpose X -> X^T: the generator's matrix is real, and
-    so is every block, which is then solved in float64.  A self-mirror
-    sector splits further.  In the orthonormal basis {e_ii, (e_ij + e_ji) /
+    When every entry of L is exactly real, L(conj X) = conj L(X), so L
+    commutes with X -> conj X and, since it maps X+ to L(X)+, with the
+    transpose X -> X^T: every block is real and solved in float64.  A
+    self-mirror sector splits further.  In the orthonormal basis {e_ii, (e_ij + e_ji) /
     sqrt 2} of its symmetric and {(e_ij - e_ji) / sqrt 2} of its
     antisymmetric matrices, its block is the direct sum of two real blocks
     of about half its size, each solved as a block of its own.  The
     diagonal positions, the trace row and the null vector lie in the
     symmetric half; the antisymmetric half gives only its bound.  The basis
     is orthonormal, so the two halves' singular values are the sector's
-    and each half's bound is one of its own.  The spin rotator model, at
-    any detuning, and the limit cycle at omega = 0 have real stencils; the
-    oscillator and the limit cycle at omega != 0 do not.
+    and each half's bound is one of its own.
 
     A null_tol outside (0, 1), or a pos_tol that is not a finite positive
     number, raises ValueError.  The solve runs on one thread of numpy's

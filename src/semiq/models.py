@@ -688,7 +688,8 @@ class ClosureComparison:
 # Largest spin size l whose exact stationary state closure_vs_exact_report
 # solves: at l = 24 the generator's two parity sectors are solved as four
 # real halves of 625, 576, 600 and 600 rows (lindblad.stationary), which
-# took 0.31-0.33 s in process on a 2-vCPU VM (numpy 2.4.6).
+# took 0.16-0.17 s per call on a fresh model, in process on a 2-vCPU VM
+# (numpy 2.4.6, OpenBLAS 0.3.31).
 EXACT_SPIN_L_MAX = 24
 
 

@@ -270,8 +270,8 @@ def expm_samples(generator, positions, rho0, taus):
     """Oracle for evolve's samples: rho0, then each state exp(tau L) of the
     one before, for tau in taus, by scipy's expm of the generator's blocks.
     generator(positions) is the block of L at the given column-stacked
-    positions of rho, as liouvillian_matrix(model, positions) returns it;
-    positions is a list of index arrays over which L is block diagonal."""
+    positions of rho, as kron_liouvillian(model)[np.ix_(positions, positions)]
+    gives it; positions is a list of index arrays over which L is block diagonal."""
     d = rho0.shape[0]
     propagators = {
         tau: [expm(tau * generator(block)) for block in positions] for tau in set(taus)
@@ -285,12 +285,26 @@ def expm_samples(generator, positions, rho0, taus):
     return states
 
 
+def kron_liouvillian(model):
+    """Oracle for lindblad.liouvillian_matrix: the dim^2 x dim^2 generator on
+    column-stacked matrices from Kronecker products of the model's
+    operators, I (x) K + conj(K) (x) I + 2 sum_j conj(R_j) (x) R_j with
+    K = -i H - sum_j R_j+ R_j, always complex."""
+    eye = np.eye(model.dim)
+    k = -1j * model.h.mat
+    for r in model.channels:
+        k = k - r.mat.conj().T @ r.mat
+    out = np.kron(eye, k) + np.kron(k.conj(), eye)
+    for r in model.channels:
+        out += 2.0 * np.kron(r.mat.conj(), r.mat)
+    return out
+
+
 def svd_stationary(model, null_tol=NULL_TOL, pos_tol=POSITIVITY_TOL):
     """Oracle for lindblad.stationary: one full SVD of the whole dim^2 x dim^2
     generator, with no use of its sectors.  Same null-space rule and checks."""
     d = model.dim
-    gen = liouvillian_matrix(model)
-    _u, s, vh = np.linalg.svd(gen)
+    _u, s, vh = np.linalg.svd(kron_liouvillian(model))
     scale = s[0] if s[0] > 0 else 1.0
     null_dim = int(np.sum(s <= null_tol * scale))
     if null_dim != 1:
@@ -326,7 +340,7 @@ def liouvillian_sectors(model):
 
 def complex_block_stationary(model, null_tol=NULL_TOL):
     """Oracle for lindblad.stationary: one complex block per mirror pair of
-    sectors, whatever the stencil, with stationary's bordered inverse, gap
+    sectors, whatever the generator, with stationary's bordered inverse, gap
     bounds and singular-value count.  Returns the Hermitized, unit-trace
     null vector as a matrix."""
     d = model.dim
@@ -341,7 +355,7 @@ def complex_block_stationary(model, null_tol=NULL_TOL):
     gap_bounds = []
     traced = []
     for positions, _count in solved:
-        block = liouvillian_matrix(model, positions)
+        block = liouvillian_matrix(model, positions).astype(complex)
         norm_bound = max(norm_bound, float(np.linalg.norm(block)))
         diagonal = np.flatnonzero(positions % (d + 1) == 0)
         if diagonal.size:
@@ -358,7 +372,7 @@ def complex_block_stationary(model, null_tol=NULL_TOL):
     threshold = null_tol * (norm_bound if norm_bound > 0 else 1.0)
     if len(traced) != 1 or not all(bound > threshold for bound in gap_bounds):
         values = [
-            (np.linalg.svd(liouvillian_matrix(model, positions), compute_uv=False), count)
+            (np.linalg.svd(liouvillian_matrix(model, positions).astype(complex), compute_uv=False), count)
             for positions, count in solved
         ]
         scale = max(s[0] for s, _count in values)

@@ -9,6 +9,7 @@ from helpers import (
     complex_block_stationary,
     expm_samples,
     hermitian_rhs,
+    kron_liouvillian,
     liouvillian_sectors,
     random_density,
     random_density_operator,
@@ -246,12 +247,13 @@ EXPM_CASES = {
 def test_evolve_matches_expm_oracle(case):
     """Every sample is exp(tau L) of the one before, to 1e-12, and exactly
     Hermitian; the oracle exponentiates each sector block of
-    liouvillian_matrix with scipy."""
+    kron_liouvillian with scipy."""
     model, rho0, t_end, sample_every = EXPM_CASES[case](np.random.default_rng(36))
     d = model.dim
+    gen = kron_liouvillian(model)
     deviation, result = evolve_against_oracle(
         model, rho0, t_end, sample_every, {"a": annihilation(d), "n": number(d)},
-        lambda positions: liouvillian_matrix(model, positions), liouvillian_sectors(model),
+        lambda positions: gen[np.ix_(positions, positions)], liouvillian_sectors(model),
     )
     if case.startswith("shared"):  # at least 20 samples a series, and a shorter last interval
         assert 20 * sample_every * 1e-3 * model._norm <= lindblad.SUBSTEP_NORM
@@ -322,7 +324,7 @@ def test_evolve_matches_commutator_oracle():
 def test_norm_is_liouvillian_one_norm(case):
     """The stencil's 1-norm bound is the largest column sum of |L|."""
     model = RHS_CASES[case]()
-    expected = np.abs(liouvillian_matrix(model)).sum(axis=0).max()
+    expected = np.abs(kron_liouvillian(model)).sum(axis=0).max()
     assert abs(model._norm - expected) <= 1e-12 * expected
 
 
@@ -716,16 +718,18 @@ def test_stationary_counts_singular_values_when_bound_fails(monkeypatch):
     assert np.max(np.abs(state.mat - svd_stationary(model, null_tol=1e-3).mat)) <= 1e-12
 
 
-def real_two_channel_model(dim):
-    # H = i A with A real antisymmetric: K = A - sum_j R_j^T R_j is real
+def real_two_channel_model(dim, shift=0.0):
+    # H = i A + shift with A real antisymmetric: K = A - sum_j R_j^T R_j - i shift,
+    # real at shift 0; K X + X K+ drops the shift, so L is real at any shift
     rng = np.random.default_rng(39)
     a = rng.standard_normal((dim, dim))
     channels = (0.5 * rng.standard_normal((dim, dim)), 0.3 * rng.standard_normal((dim, dim)))
-    return LindbladModel(OperatorMatrix(1j * (a - a.T)), tuple(OperatorMatrix(r) for r in channels))
+    h = 1j * (a - a.T) + shift * np.eye(dim)
+    return LindbladModel(OperatorMatrix(h), tuple(OperatorMatrix(r) for r in channels))
 
 
-def stencil_is_real(model):
-    return not any(np.any(weight.imag) for _shift, _lo, _hi, weight in model._stencil)
+def generator_is_real(model):
+    return not np.any(kron_liouvillian(model).imag)
 
 
 REAL_STENCIL_CASES = {
@@ -735,24 +739,30 @@ REAL_STENCIL_CASES = {
     },
     "spin-detuned-l6": lambda: rotator_spin_model(RotatorParams(1.4, 1.0, 0.3, l=6)),
     "random-real-two-channel-d6": lambda: real_two_channel_model(6),
+    # M's stencil is complex, L is real: solved in float64 all the same
+    "random-real-two-channel-shifted-d6": lambda: real_two_channel_model(6, shift=0.7),
     # omega = 0 leaves 2 d - 1 real diagonal sectors: d - 1 mirror pairs in float64
     "limit-cycle-omega0-d12": lambda: limit_cycle_lindblad(LimitCycleParams(0.0, 1.0, 1.0), 12),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REAL_STENCIL_CASES))
-def test_real_stencil_stationary_matches_oracles(case):
-    # solved in float64 halves, the state is the full SVD's to 1e-12 and
+def test_real_stencil_stationary_matches_oracles(monkeypatch, case):
+    # solved in float64 blocks, the state is the full SVD's to 1e-12 and
     # that of one complex block per mirror pair to 1e-13
     model = REAL_STENCIL_CASES[case]()
-    assert stencil_is_real(model)
+    assert generator_is_real(model)
+    inv = np.linalg.inv
+    dtypes = set()
+    monkeypatch.setattr(np.linalg, "inv", lambda block: dtypes.add(block.dtype) or inv(block))
     state = stationary(model).mat
+    assert dtypes == {np.dtype(np.float64)}
     assert np.max(np.abs(state - svd_stationary(model).mat)) <= 1e-12
     assert np.max(np.abs(state - complex_block_stationary(model))) <= 1e-13
 
 
 @pytest.mark.parametrize("case", ["spin-l3", "spin-l2.5", "spin-detuned-l6", "random-real-two-channel-d6",
-                                  "limit-cycle-omega0-d12"])
+                                  "random-real-two-channel-shifted-d6", "limit-cycle-omega0-d12"])
 def test_conjugation_halves_keep_singular_values(case):
     # The halves are the sector blocks in an orthonormal basis: their
     # singular values, each counted for the sectors it stands for, are the
@@ -762,7 +772,7 @@ def test_conjugation_halves_keep_singular_values(case):
     for block, count, *_rest in lindblad._stationary_blocks(model):
         assert block.dtype == np.float64
         values += count * np.linalg.svd(block, compute_uv=False).tolist()
-    expected = np.linalg.svd(liouvillian_matrix(model), compute_uv=False)
+    expected = np.linalg.svd(kron_liouvillian(model), compute_uv=False)
     assert len(values) == len(expected)
     assert np.max(np.abs(np.sort(values)[::-1] - expected)) <= 1e-12 * expected[0]
 
@@ -785,7 +795,7 @@ REAL_DEGENERATE_CASES = {
 def test_real_stencil_degeneracy_matches_svd_oracle(case, null_tol):
     build, null_dim = REAL_DEGENERATE_CASES[case]
     model = build()
-    assert stencil_is_real(model)
+    assert generator_is_real(model)
     with pytest.raises(DegenerateStationaryState) as oracle:
         svd_stationary(model, null_tol=null_tol)
     with pytest.raises(DegenerateStationaryState) as excinfo:
@@ -833,18 +843,24 @@ def test_sector_mirror_block_is_conjugate(case):
 
 
 def test_stationary_solves_one_block_per_mirror_pair(monkeypatch):
-    inv = np.linalg.inv
-    calls = []
+    # perfbench times the module's liouvillian_matrix per solved block, so
+    # stationary calls it, through the module, once per mirror pair
+    inv, build = np.linalg.inv, lindblad.liouvillian_matrix
+    calls, built = [], []
     monkeypatch.setattr(np.linalg, "inv", lambda block: calls.append((len(block), block.dtype)) or inv(block))
+    monkeypatch.setattr(lindblad, "liouvillian_matrix", lambda *args: built.append(1) or build(*args))
     # 2 d - 1 diagonal sectors, of which d - 1 mirror pairs and the main
-    # diagonal; the stencil is complex, so each block is one complex inverse
+    # diagonal; the generator is complex, so each block is one complex inverse
     stationary(limit_cycle_lindblad(LimitCycleParams(1.0, 1.0, 1.0), 30))
     assert calls == [(30 - abs(s), np.complex128) for s in range(30)]
+    assert len(built) == 30
     calls.clear()
+    built.clear()
     # the parity sectors (221 and 220 positions) are their own mirrors, and
-    # the real stencil splits each into its symmetric and antisymmetric half
+    # the real generator splits each into its symmetric and antisymmetric half
     stationary(rotator_spin_model(RotatorParams(1.0, 1.0, 0.3, l=10)))
     assert calls == [(121, np.float64), (100, np.float64), (110, np.float64), (110, np.float64)]
+    assert len(built) == 2
 
 
 def test_stationary_independent_of_blas_threads():
@@ -894,7 +910,7 @@ def test_limit_cycle_sectors_are_diagonals():
 @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
 def test_liouvillian_blocks_cover_generator(case):
     model = SECTOR_CASES[case][0]()
-    gen = liouvillian_matrix(model)
+    gen = kron_liouvillian(model)
     sectors = liouvillian_sectors(model)
     assert sorted(np.concatenate(sectors)) == list(range(model.dim**2))
     off_block = gen.copy()
@@ -917,11 +933,22 @@ def test_liouvillian_matrix_matches_rhs():
     rng = np.random.default_rng(33)
     model = limit_cycle_lindblad(LimitCycleParams(0.5, 0.6, 0.3), 6)
     gen = liouvillian_matrix(model)
+    assert np.max(np.abs(gen - kron_liouvillian(model))) <= 1e-12
     for _ in range(5):
         rho = random_operator(rng, 6)
         direct = lindblad_rhs(model, rho).mat
         via_matrix = (gen @ rho.mat.flatten(order="F")).reshape((6, 6), order="F")
         assert np.max(np.abs(direct - via_matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["limit-cycle-d12", "limit-cycle-omega0-d12", "oscillator-d12", "random-two-channel-d6",
+                                  "random-real-two-channel-shifted-d6", "spin-l3"])
+def test_liouvillian_matrix_is_real_exactly_when_generator_is(case):
+    model = {**MIRROR_CASES, **REAL_STENCIL_CASES}[case]()
+    gen = liouvillian_matrix(model)
+    assert gen.dtype == (np.float64 if generator_is_real(model) else np.complex128)
+    expected = kron_liouvillian(model)
+    assert np.max(np.abs(gen - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 # -- expectations and the adjoint form ----------------------------------------------
